@@ -1,12 +1,9 @@
 // Microbenchmarks (google-benchmark) of the simulation substrates: event
 // queue throughput, max-min fair-share recomputation, flow churn on the
 // six-region and a 12-DC synthetic topology, partitioner and combiner
-// throughput. Provides its own main(): when GS_BENCH_JSON is set (the
-// run_benches.sh convention), results are also written to that path in
-// google-benchmark's JSON format.
+// throughput. main() is gbench_main.cc (GS_BENCH_JSON → JSON output).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -155,27 +152,3 @@ void BM_CompressionEstimate(benchmark::State& state) {
 BENCHMARK(BM_CompressionEstimate);
 
 }  // namespace
-
-// Same contract as the bench_harness binaries: GS_BENCH_JSON names a JSON
-// output file (run_benches.sh maps this binary to BENCH_netsim.json).
-// Implemented by injecting google-benchmark's own --benchmark_out flags so
-// the file carries the full per-benchmark statistics.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag, fmt_flag;
-  if (const char* json = std::getenv("GS_BENCH_JSON");
-      json != nullptr && json[0] != '\0') {
-    out_flag = "--benchmark_out=" + std::string(json);
-    fmt_flag = "--benchmark_out_format=json";
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int args_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&args_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

@@ -16,7 +16,8 @@
 // Environment: GS_SCALE as usual; GS_MT_JOBS overrides the jobs per
 // sweep point (default 12, minimum 8); GS_BENCH_JSON writes the sweep
 // rows as JSON (the run_benches.sh convention). GS_RUNS is ignored — one
-// deterministic seed per point; rerunning reproduces it byte for byte.
+// deterministic seed per point; rerunning reproduces the rows byte for
+// byte (the JSON's "host" object records the machine that ran it).
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -119,7 +120,7 @@ SweepRow RunPoint(const HarnessConfig& h, const WorkloadParams& params,
 void WriteJson(const std::string& path, const std::vector<SweepRow>& rows) {
   std::ofstream out(path);
   GS_CHECK_MSG(out.good(), "cannot write " << path);
-  out << "[\n";
+  out << "{\"host\": " << HostMetadataJson() << ",\n\"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
     out << "  {\"scheme\": \"" << r.scheme << "\", \"load\": " << r.load
@@ -131,7 +132,7 @@ void WriteJson(const std::string& path, const std::vector<SweepRow>& rows) {
         << ", \"queue_p99_s\": " << r.queue_p99 << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  out << "]\n";
+  out << "]}\n";
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
+#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -88,6 +90,14 @@ void WriteWallMeasurementsJson(const std::string& path,
         << (i + 1 < ms.size() ? "," : "") << "\n";
   }
   out << "]\n";
+}
+
+std::string HostMetadataJson() {
+  std::ostringstream out;
+  out << "{\"cores\": " << std::thread::hardware_concurrency()
+      << ", \"compiler\": \"" << GS_COMPILER << "\", \"build_type\": \""
+      << GS_BUILD_TYPE << "\"}";
+  return out.str();
 }
 
 SchemeSummary RunMany(const HarnessConfig& h, const std::string& workload,

@@ -59,6 +59,10 @@ struct WallMeasurement {
 void WriteWallMeasurementsJson(const std::string& path,
                                const std::vector<WallMeasurement>& ms);
 
+// The host a bench ran on, as one JSON object: {"cores", "compiler",
+// "build_type"}.
+std::string HostMetadataJson();
+
 // Builds the paper's cluster and run configuration for a scheme and seed.
 RunConfig MakeRunConfig(const HarnessConfig& h, Scheme scheme,
                         std::uint64_t seed);

@@ -21,8 +21,7 @@ namespace {
 
 // Click-log events: key = user id, value = "timestamp url" line. Users are
 // sticky to their home region (90%), with some roaming traffic.
-std::vector<gs::SourceRdd::Partition> MakeLogs(const gs::Topology& topo,
-                                               gs::Rng& rng) {
+std::vector<gs::SourceRdd::Partition> MakeLogs(gs::Rng& rng) {
   const int users_per_region = 400;
   std::vector<std::vector<gs::Record>> parts(24);
   for (int region = 0; region < 6; ++region) {
@@ -69,8 +68,7 @@ int main() {
     GeoCluster cluster(Ec2SixRegionTopology(scale), cfg);
 
     Rng rng(51);
-    Dataset logs = cluster.CreateSource("click-logs",
-                                        MakeLogs(cluster.topology(), rng));
+    Dataset logs = cluster.CreateSource("click-logs", MakeLogs(rng));
     Dataset sessions = logs.GroupByKey(8);
     Dataset heavy =
         sessions.Filter("long-sessions", [](const Record& r) {

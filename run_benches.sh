@@ -31,6 +31,7 @@ for b in build/bench/*; do
     */bench_coded) json=BENCH_coded.json ;;
     */bench_micro_datapath) json=BENCH_datapath.json ;;
     */bench_micro_netsim) json=BENCH_netsim.json ;;
+    */bench_micro_sched) json=BENCH_sched.json ;;
     */bench_multitenant) json=BENCH_multitenant.json ;;
     */bench_transport) json=BENCH_transport.json ;;
   esac

@@ -14,11 +14,13 @@ TaskScheduler::TaskScheduler(Simulator& sim, const Topology& topo,
       topo_(topo),
       config_(config),
       free_(topo.num_nodes(), 0),
+      dc_free_(topo.num_datacenters(), 0),
       up_(topo.num_nodes(), true),
       weight_(1, 1.0),
-      busy_(1, 0) {
+      busy_(1, 0),
+      queues_(1) {
   for (NodeIndex n = 0; n < topo_.num_nodes(); ++n) {
-    free_[n] = topo_.node(n).worker ? topo_.node(n).cores : 0;
+    if (topo_.node(n).worker) AddFree(n, topo_.node(n).cores);
   }
   if (metrics != nullptr) {
     m_submitted_ = &metrics->counter("sched.tasks_submitted");
@@ -37,6 +39,7 @@ void TaskScheduler::Submit(TaskRequest request) {
     GS_CHECK_MSG(n >= 0 && n < topo_.num_nodes(), "bad preferred node " << n);
   }
   Pending pending;
+  pending.seq = next_seq_++;
   pending.submitted_at = sim_.Now();
   // The spill deadline is computed ONCE and the wake-up is scheduled for
   // that same instant, so the eligibility comparison in TryAssign sees the
@@ -55,10 +58,10 @@ void TaskScheduler::Submit(TaskRequest request) {
     pending.wait_expiry =
         sim_.Schedule(config_.locality_wait, [this] { Pump(); });
   }
-  queue_.push_back(std::move(pending));
+  queues_[pending.request.tenant].push_back(std::move(pending));
   if (m_submitted_ != nullptr) {
     m_submitted_->Add(1);
-    m_queue_depth_->Set(static_cast<std::int64_t>(queue_.size()));
+    m_queue_depth_->Set(queued_tasks());
   }
   Pump();
 }
@@ -69,16 +72,23 @@ bool TaskScheduler::UpdatePreferences(TaskId id,
   for (NodeIndex n : preferred) {
     GS_CHECK_MSG(n >= 0 && n < topo_.num_nodes(), "bad preferred node " << n);
   }
-  for (Pending& pending : queue_) {
-    if (pending.request.id != id) continue;
-    pending.request.preferred = std::move(preferred);
-    pending.request.policy = policy;
-    // spill_at and the wait-expiry event stay as submitted: the task's
-    // locality-wait clock started when it entered the queue.
-    Pump();
-    return true;
+  // The oldest queued task with the id: the first match in each tenant's
+  // FIFO, then the earliest submission across tenants.
+  Pending* match = nullptr;
+  for (Queue& queue : queues_) {
+    for (Pending& pending : queue) {
+      if (pending.request.id != id) continue;
+      if (match == nullptr || pending.seq < match->seq) match = &pending;
+      break;
+    }
   }
-  return false;
+  if (match == nullptr) return false;
+  match->request.preferred = std::move(preferred);
+  match->request.policy = policy;
+  // spill_at and the wait-expiry event stay as submitted: the task's
+  // locality-wait clock started when it entered the queue.
+  Pump();
+  return true;
 }
 
 void TaskScheduler::ReleaseSlot(NodeIndex node, int tenant) {
@@ -90,7 +100,7 @@ void TaskScheduler::ReleaseSlot(NodeIndex node, int tenant) {
   --busy_[tenant];
   GS_CHECK_MSG(busy_[tenant] >= 0, "tenant " << tenant << " over-released");
   if (!up_[node]) return;  // executor crashed: the slot died with it
-  ++free_[node];
+  AddFree(node, 1);
   GS_CHECK(free_[node] <= topo_.node(node).cores);
   Pump();
 }
@@ -113,6 +123,7 @@ void TaskScheduler::EnsureTenant(int tenant) {
   if (tenant >= static_cast<int>(weight_.size())) {
     weight_.resize(static_cast<std::size_t>(tenant) + 1, 1.0);
     busy_.resize(static_cast<std::size_t>(tenant) + 1, 0);
+    queues_.resize(static_cast<std::size_t>(tenant) + 1);
   }
 }
 
@@ -123,11 +134,17 @@ bool TaskScheduler::SmallerShare(int a, int b) const {
   return a < b;
 }
 
+void TaskScheduler::AddFree(NodeIndex node, int delta) {
+  free_[node] += delta;
+  dc_free_[topo_.dc_of(node)] += delta;
+  total_free_ += delta;
+}
+
 void TaskScheduler::SetNodeDown(NodeIndex node) {
   GS_CHECK(node >= 0 && node < topo_.num_nodes());
   GS_CHECK_MSG(topo_.node(node).worker, "crashed a non-worker");
   up_[node] = false;
-  free_[node] = 0;
+  AddFree(node, -free_[node]);
   // Queued kDcOnly tasks whose last in-DC worker just died may now be
   // eligible to spill anywhere (their locality wait may long have passed).
   Pump();
@@ -138,7 +155,7 @@ void TaskScheduler::SetNodeUp(NodeIndex node) {
   GS_CHECK_MSG(topo_.node(node).worker, "restarted a non-worker");
   if (up_[node]) return;
   up_[node] = true;
-  free_[node] = topo_.node(node).cores;
+  AddFree(node, topo_.node(node).cores);
   Pump();
 }
 
@@ -150,6 +167,12 @@ bool TaskScheduler::node_up(NodeIndex node) const {
 int TaskScheduler::free_slots(NodeIndex node) const {
   GS_CHECK(node >= 0 && node < topo_.num_nodes());
   return free_[node];
+}
+
+int TaskScheduler::queued_tasks() const {
+  std::size_t queued = 0;
+  for (const Queue& queue : queues_) queued += queue.size();
+  return static_cast<int>(queued);
 }
 
 int TaskScheduler::busy_slots_in(DcIndex dc) const {
@@ -166,6 +189,23 @@ NodeIndex TaskScheduler::BestFreeNodeIn(
   for (NodeIndex n : candidates) {
     if (free_[n] <= 0) continue;
     if (best == kNoNode || free_[n] > free_[best]) best = n;
+  }
+  return best;
+}
+
+NodeIndex TaskScheduler::BestFreeNodeNear(
+    const std::vector<NodeIndex>& preferred) const {
+  // Same first-max scan as BestFreeNodeIn over the concatenated node lists
+  // of the preferred nodes' datacenters; a datacenter with no free slot
+  // cannot contribute, and revisiting one never beats its first visit.
+  NodeIndex best = kNoNode;
+  for (NodeIndex pref : preferred) {
+    const DcIndex dc = topo_.dc_of(pref);
+    if (dc_free_[dc] <= 0) continue;
+    for (NodeIndex n : topo_.nodes_in(dc)) {
+      if (free_[n] <= 0) continue;
+      if (best == kNoNode || free_[n] > free_[best]) best = n;
+    }
   }
   return best;
 }
@@ -200,13 +240,7 @@ bool TaskScheduler::TryAssign(Pending& pending) {
     locality = LocalityLevel::kNodeLocal;
     if (node == kNoNode && request.policy != PlacementPolicy::kNodeOnly) {
       // Level 2: any worker in a datacenter hosting a preferred node.
-      std::vector<NodeIndex> dc_candidates;
-      for (NodeIndex pref : request.preferred) {
-        for (NodeIndex n : topo_.nodes_in(topo_.dc_of(pref))) {
-          dc_candidates.push_back(n);
-        }
-      }
-      node = BestFreeNodeIn(dc_candidates);
+      node = BestFreeNodeNear(request.preferred);
       locality = LocalityLevel::kDcLocal;
     }
     // Level 3: anywhere, but only after the locality wait expired (delay
@@ -216,11 +250,10 @@ bool TaskScheduler::TryAssign(Pending& pending) {
     // no live worker left at all — otherwise a permanent crash of the last
     // worker in the (e.g. central) datacenter would queue them forever and
     // silently hang the job.
-    const bool may_spill =
-        request.policy == PlacementPolicy::kAnyAfterWait ||
-        (request.policy == PlacementPolicy::kDcOnly &&
-         NoLiveWorkerNear(request.preferred));
-    if (node == kNoNode && may_spill && sim_.Now() >= pending.spill_at) {
+    if (node == kNoNode && sim_.Now() >= pending.spill_at &&
+        (request.policy == PlacementPolicy::kAnyAfterWait ||
+         (request.policy == PlacementPolicy::kDcOnly &&
+          NoLiveWorkerNear(request.preferred)))) {
       node = LeastLoadedFreeWorker();
       locality = LocalityLevel::kAny;
     }
@@ -230,7 +263,7 @@ bool TaskScheduler::TryAssign(Pending& pending) {
   }
 
   if (node == kNoNode) return false;
-  --free_[node];
+  AddFree(node, -1);
   GS_CHECK(free_[node] >= 0);
   ++busy_[request.tenant];
   pending.wait_expiry.Cancel();
@@ -257,39 +290,45 @@ void TaskScheduler::Pump() {
   // tenant cannot place anything, the next-smallest share gets the offer —
   // fair sharing never idles a slot a heavier tenant could use.
   //
-  // With a single tenant this reproduces the original FIFO first-fit
-  // sequence exactly: assignments only consume slots and never advance
-  // time, so a task that failed to place earlier in the pass still fails
-  // after a later grant, and restarting from the head yields the same
-  // order as one continuing sweep.
-  bool assigned = true;
-  while (assigned) {
-    assigned = false;
-    std::vector<int> tenants;
-    for (const Pending& p : queue_) {
-      if (std::find(tenants.begin(), tenants.end(), p.request.tenant) ==
-          tenants.end()) {
-        tenants.push_back(p.request.tenant);
+  // The pump is incremental, and exactly equivalent to restarting every
+  // round from the head of every queue (docs/PERF.md §9):
+  //  - SmallerShare is a total order, so the round's offer order depends
+  //    only on the tenants' shares, not on how they are enumerated;
+  //  - only the order within a tenant matters, so each tenant keeps its
+  //    own FIFO;
+  //  - within one pump no time passes and grants only consume slots, so a
+  //    task that failed earlier in the pump still fails: each tenant's
+  //    scan resumes at its cursor, and a tenant whose cursor reached the
+  //    end is out of the pump. With no free slot anywhere nothing can be
+  //    placed at all.
+  // With a single tenant this is the original FIFO first-fit sweep.
+  cursor_.resize(queues_.size());
+  for (std::size_t t = 0; t < queues_.size(); ++t) {
+    cursor_[t] = queues_[t].begin();
+  }
+  while (total_free_ > 0) {
+    offer_order_.clear();
+    for (std::size_t t = 0; t < queues_.size(); ++t) {
+      if (cursor_[t] != queues_[t].end()) {
+        offer_order_.push_back(static_cast<int>(t));
       }
     }
-    std::sort(tenants.begin(), tenants.end(),
+    std::sort(offer_order_.begin(), offer_order_.end(),
               [this](int a, int b) { return SmallerShare(a, b); });
-    for (int tenant : tenants) {
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->request.tenant != tenant) continue;
-        if (TryAssign(*it)) {
-          queue_.erase(it);
-          assigned = true;
-          break;
-        }
-      }
-      if (assigned) break;
+    bool assigned = false;
+    for (int tenant : offer_order_) {
+      Queue& queue = queues_[tenant];
+      Queue::iterator& it = cursor_[tenant];
+      while (it != queue.end() && !TryAssign(*it)) ++it;
+      if (it == queue.end()) continue;
+      it = queue.erase(it);
+      assigned = true;
+      break;
     }
+    if (!assigned) break;
   }
   pumping_ = false;
-  if (m_queue_depth_ != nullptr) {
-    m_queue_depth_->Set(static_cast<std::int64_t>(queue_.size()));
-  }
+  if (m_queue_depth_ != nullptr) m_queue_depth_->Set(queued_tasks());
 }
 
 }  // namespace gs

@@ -11,8 +11,9 @@
 // scheduler change is needed, which is the paper's central design point.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <functional>
+#include <list>
 #include <vector>
 
 #include "common/ids.h"
@@ -106,12 +107,15 @@ class TaskScheduler {
   bool node_up(NodeIndex node) const;
 
   int free_slots(NodeIndex node) const;
-  int queued_tasks() const { return static_cast<int>(queue_.size()); }
+  int queued_tasks() const;
   int busy_slots_in(DcIndex dc) const;
 
  private:
   struct Pending {
     TaskRequest request;
+    // Global submission order: UpdatePreferences rewrites the oldest
+    // queued task with the id, whichever tenant queue holds it.
+    std::uint64_t seq = 0;
     SimTime submitted_at = 0;
     // Absolute time at which any-placement becomes allowed; computed once
     // at submission so it compares exactly against the wait_expiry wake-up
@@ -119,6 +123,7 @@ class TaskScheduler {
     SimTime spill_at = 0;
     EventHandle wait_expiry;
   };
+  using Queue = std::list<Pending>;
 
   bool TryAssign(Pending& pending);
   void Pump();
@@ -126,8 +131,14 @@ class TaskScheduler {
   // Orders tenant a before b by weighted busy share (cross-multiplied to
   // avoid division), ties to the lower id.
   bool SmallerShare(int a, int b) const;
+  // Adds `delta` free slots on `node`, keeping the per-datacenter and
+  // total counts in step.
+  void AddFree(NodeIndex node, int delta);
 
   NodeIndex BestFreeNodeIn(const std::vector<NodeIndex>& candidates) const;
+  // Level 2: the first most-free worker in the datacenters of `preferred`,
+  // in preference order; datacenters without a free slot are skipped.
+  NodeIndex BestFreeNodeNear(const std::vector<NodeIndex>& preferred) const;
   NodeIndex LeastLoadedFreeWorker() const;
   // True iff no datacenter hosting a preferred node has a live worker.
   bool NoLiveWorkerNear(const std::vector<NodeIndex>& preferred) const;
@@ -135,14 +146,22 @@ class TaskScheduler {
   Simulator& sim_;
   const Topology& topo_;
   TaskSchedulerConfig config_;
-  std::vector<int> free_;  // free slots per node (0 for non-workers)
-  std::vector<bool> up_;   // executor liveness per node
-  std::deque<Pending> queue_;
+  std::vector<int> free_;     // free slots per node (0 for non-workers)
+  std::vector<int> dc_free_;  // free slots per datacenter
+  int total_free_ = 0;        // free slots in the whole cluster
+  std::vector<bool> up_;      // executor liveness per node
   bool pumping_ = false;
 
-  // Per-tenant fair-share state, indexed by tenant id (grown on demand).
+  // Per-tenant fair-share state and FIFO queues, indexed by tenant id
+  // (grown on demand).
   std::vector<double> weight_;
   std::vector<int> busy_;
+  std::vector<Queue> queues_;
+  std::uint64_t next_seq_ = 0;
+  // Pump scratch, reused across pumps: each tenant's resume cursor and
+  // the round's tenant offer order.
+  std::vector<Queue::iterator> cursor_;
+  std::vector<int> offer_order_;
 
   // Metric handles (nullptr without a registry); event-loop-only updates.
   Counter* m_submitted_ = nullptr;

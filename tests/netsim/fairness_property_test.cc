@@ -26,7 +26,8 @@ Topology RandomTopology(Rng& rng) {
     topo.AddDatacenter("dc" + std::to_string(d));
     const int nodes = static_cast<int>(rng.UniformInt(1, 4));
     for (int n = 0; n < nodes; ++n) {
-      topo.AddNode({"n", d, 2, MiB(rng.UniformInt(2, 20))});
+      topo.AddNode(
+          {"n", d, 2, static_cast<Rate>(MiB(rng.UniformInt(2, 20)))});
     }
   }
   for (DcIndex a = 0; a < dcs; ++a) {
