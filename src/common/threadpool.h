@@ -182,13 +182,6 @@ class ThreadPool {
     return futures;
   }
 
-  // Enqueues pre-wrapped jobs (e.g. packaged tasks whose futures the
-  // caller already holds) as one wave — one lock acquisition per worker
-  // shard, like SubmitBatch, but without the promise plumbing.
-  void SubmitPrepared(std::vector<MoveFunction> jobs) {
-    PushJobs(jobs.data(), jobs.size());
-  }
-
   // Blocks until every submitted job has finished (none queued, none
   // mid-run). Used by the engine to make sure orphaned jobs (discarded
   // task attempts) finish before the structures they reference are torn

@@ -24,6 +24,32 @@ constexpr SimTime kLocalHandoff = Millis(1);
 // Fraction of a transfer producer's compute after which its push departs
 // (intra-task pipelining, Sec. IV-B).
 constexpr double kEarlyPushFraction = 0.3;
+// A node is preferred for a reduce task if it stores at least this
+// fraction of the shard's input (Spark's REDUCER_PREF_LOCS_FRACTION).
+constexpr double kReducerPrefFraction = 0.2;
+
+// Adaptive replanning (docs/ADAPTIVE.md). A push path counts as collapsed,
+// and its shard falls back to fetch, below this fraction of the link's
+// base rate.
+constexpr double kDegradeThreshold = 0.1;
+// A stage retargets only when the new best datacenter's estimated
+// aggregation time beats the incumbent's by this factor: an estimate
+// barely better is noise, and moving on it would thrash on every jitter
+// wobble.
+constexpr double kReplanHysteresis = 1.5;
+// Minimum spacing between replanning passes of one stage.
+constexpr SimTime kMinReplanInterval = Seconds(1);
+
+// Wraps `fn` so it runs on `task` only while the task is still on the
+// attempt that scheduled it. Every restart or recovery bumps the epoch,
+// which turns each pending continuation of the dead attempt into a no-op:
+// this is how a crash "kills" callbacks without tracking them one by one.
+template <typename Task, typename Fn>
+auto OnThisAttempt(Task& task, Fn fn) {
+  return [t = &task, epoch = task.epoch, fn = std::move(fn)]() mutable {
+    if (t->epoch == epoch) fn(*t);
+  };
+}
 
 }  // namespace
 
@@ -179,7 +205,7 @@ bool JobRunner::StageIsReady(const StageRun& sr) const {
   if (sr.submitted || sr.done) return false;
   // Receiver stages are co-submitted with their producer, not by
   // readiness — unless cache coverage made them standalone.
-  if (sr.stage.starts_at_transfer && !sr.standalone) return false;
+  if (sr.is_receiver()) return false;
   for (StageId parent : sr.stage.barrier_parents) {
     if (!stage_runs_[parent]->done) return false;
   }
@@ -214,8 +240,7 @@ void JobRunner::SubmitStage(StageId id) {
   // next (explicit transferTo -> map -> automatic transferTo) keeps its
   // own receiver datacenter and assigns the new target to its consumer.
   std::vector<DcIndex> transfer_targets;
-  if (sr.stage.output == StageOutputKind::kTransferProduce &&
-      sr.stage.transfer_consumer >= 0) {
+  if (sr.is_producer()) {
     if (sr.stage.consumer_transfer->target_dc() != kNoDc) {
       transfer_targets = {sr.stage.consumer_transfer->target_dc()};
     } else {
@@ -261,7 +286,7 @@ void JobRunner::SubmitStage(StageId id) {
 
 void JobRunner::LaunchTasks(StageId id) {
   StageRun& sr = stage_run(id);
-  if (sr.stage.starts_at_transfer && !sr.standalone) {
+  if (sr.is_receiver()) {
     // Receiver tasks are submitted to the scheduler one-by-one as their
     // producer task is assigned (their preferences depend on the producer's
     // node: co-located partitions make the receiver a no-op, Sec. IV-C2).
@@ -334,7 +359,7 @@ std::vector<NodeIndex> JobRunner::PreferredNodes(const StageRun& sr,
       const auto& s = static_cast<const ShuffledRdd&>(*cut.rdd);
       std::vector<NodeIndex> prefs =
           cluster_.tracker().PreferredShardLocations(
-              s.shuffle().id, cut.partition, config_.reducer_pref_fraction);
+              s.shuffle().id, cut.partition, kReducerPrefFraction);
       if (config_.coded.enabled) {
         AppendCodedAlternates(s.shuffle().id, cut.partition, &prefs);
       }
@@ -348,8 +373,8 @@ std::vector<NodeIndex> JobRunner::PreferredNodes(const StageRun& sr,
 void JobRunner::SubmitTask(TaskRun& task) {
   StageRun& sr = stage_run(task.stage);
   TaskRequest request;
-  request.id = static_cast<TaskId>(task.stage) * 100000 + task.partition;
-  if (sr.stage.starts_at_transfer && !sr.standalone) {
+  request.id = SchedulerTaskId(task);
+  if (sr.is_receiver()) {
     // Receiver write phase: the pushed data already landed on task.node.
     GS_CHECK(task.node != kNoNode);
     request.preferred = {task.node};
@@ -408,22 +433,15 @@ void JobRunner::OnAssigned(TaskRun& task, NodeIndex node) {
   // A transfer producer's assignment fixes the pairing for its receiver:
   // decide the receiver's destination node now, so the push can start the
   // instant the producer finishes.
-  if (sr.stage.output == StageOutputKind::kTransferProduce &&
-      sr.stage.transfer_consumer >= 0) {
-    PlaceReceiver(sr, task);
-  }
+  if (sr.is_producer()) PlaceReceiver(sr, task);
 
-  if (sr.stage.starts_at_transfer && !sr.standalone) {
+  if (sr.is_receiver()) {
     // Receiver write phase: the slot was requested after the data landed.
     ExecuteReceiver(task);
     return;
   }
-  TaskRun* task_ptr = &task;
-  const int epoch = task.epoch;
-  sim_.Schedule(config_.cost.task_launch_overhead, [this, task_ptr, epoch] {
-    if (task_ptr->epoch != epoch) return;
-    StartGather(*task_ptr);
-  });
+  sim_.Schedule(config_.cost.task_launch_overhead,
+                OnThisAttempt(task, [this](TaskRun& t) { StartGather(t); }));
 }
 
 void JobRunner::StartGather(TaskRun& task) {
@@ -439,15 +457,11 @@ void JobRunner::StartGather(TaskRun& task) {
   task.fetch_failed_sid = -1;
   task.fetch_failed_maps.clear();
   task.pending_gathers = 1;  // released at the end of this function
-  TaskRun* t = &task;
-  const int epoch = task.epoch;
+  auto arrived = [this](TaskRun& t) { GatherArrived(t); };
 
   auto add_disk_read = [&](Bytes bytes) {
     ++task.pending_gathers;
-    cluster_.disk().Read(task.node, bytes, [this, t, epoch] {
-      if (t->epoch != epoch) return;
-      GatherArrived(*t);
-    });
+    cluster_.disk().Read(task.node, bytes, OnThisAttempt(task, arrived));
   };
   auto add_flow = [&](NodeIndex from, Bytes bytes, FlowKind kind) {
     ++task.pending_gathers;
@@ -458,10 +472,7 @@ void JobRunner::StartGather(TaskRun& task) {
     transfer.dst = task.node;
     transfer.bytes = bytes;
     transfer.kind = kind;
-    transfer.on_landed = [this, t, epoch] {
-      if (t->epoch != epoch) return;
-      GatherArrived(*t);
-    };
+    transfer.on_landed = OnThisAttempt(task, arrived);
     cluster_.transport().Transfer(std::move(transfer));
   };
 
@@ -568,22 +579,13 @@ void JobRunner::StartGather(TaskRun& task) {
 }
 
 void JobRunner::SubmitCompute(TaskRun& task) {
-  StageRun& sr = stage_run(task.stage);
-  TaskComputeSpec spec;
-  spec.output_rdd = sr.stage.output_rdd.get();
-  spec.partition = task.partition;
+  TaskComputeSpec spec = ComputeSpec(stage_run(task.stage), task.partition,
+                                     !config_.disable_map_side_combine);
   spec.start.rdd = task.cut_rdd;
   spec.start.partition = task.cut_partition;
   spec.start.records = std::move(task.gathered);
   spec.start.already_processed = task.gather_is_processed;
   task.gathered.clear();
-  if (sr.stage.pre_output_combine && !config_.disable_map_side_combine) {
-    spec.combine = &sr.stage.pre_output_combine;
-  }
-  spec.output = sr.stage.output;
-  if (sr.stage.consumer_shuffle != nullptr) {
-    spec.consumer_shuffle = &sr.stage.consumer_shuffle->shuffle();
-  }
   std::packaged_task<TaskComputeResult()> job(
       [spec = std::move(spec)]() mutable {
         return ComputeTask(std::move(spec));
@@ -599,13 +601,9 @@ void JobRunner::SubmitCompute(TaskRun& task) {
 void JobRunner::FlushComputeBatch() {
   compute_flush_scheduled_ = false;
   if (compute_batch_.empty()) return;
-  std::vector<MoveFunction> jobs;
-  jobs.reserve(compute_batch_.size());
-  for (std::packaged_task<TaskComputeResult()>& job : compute_batch_) {
-    jobs.emplace_back([job = std::move(job)]() mutable { job(); });
-  }
-  compute_batch_.clear();
-  cluster_.compute_pool().SubmitPrepared(std::move(jobs));
+  // Each task already holds its packaged task's future (SubmitCompute);
+  // the batch's completion futures are dropped.
+  cluster_.compute_pool().SubmitBatch(std::exchange(compute_batch_, {}));
 }
 
 void JobRunner::GatherArrived(TaskRun& task) {
@@ -648,19 +646,13 @@ void JobRunner::OnGatherDone(TaskRun& task) {
     metrics_.coded_replica_compute_seconds += (CodedR() - 1) * cpu;
   }
 
-  // Store cache fills on this node once the compute finishes.
-  TaskRun* t = &task;
-  const int epoch = task.epoch;
-
   // Failure injection (Sec. V, Fig. 2): reduce tasks may fail partway
   // through their first attempt.
   const bool may_fail = IsReducerStage(sr) && task.attempt == 0 &&
                         config_.fault.reduce_failure_prob > 0;
   if (may_fail && rng_.Bernoulli(config_.fault.reduce_failure_prob)) {
-    sim_.Schedule(cpu * config_.fault.failure_point, [this, t, epoch] {
-      if (t->epoch != epoch) return;
-      OnTaskFailed(*t);
-    });
+    sim_.Schedule(cpu * config_.fault.failure_point,
+                  OnThisAttempt(task, [this](TaskRun& t) { OnTaskFailed(t); }));
     return;
   }
 
@@ -669,38 +661,37 @@ void JobRunner::OnGatherDone(TaskRun& task) {
   // until the entire output dataset is ready". The push flow (sized for
   // the full output) departs once an early fraction of the compute is
   // done; the task itself completes at full compute time.
-  if (sr.stage.output == StageOutputKind::kTransferProduce &&
-      sr.stage.transfer_consumer >= 0) {
-    StageRun* producer_sr = &sr;
+  if (sr.is_producer()) {
+    auto push = [this, records = std::move(out.records),
+                 push_bytes = out.compressed_bytes](TaskRun& t) mutable {
+      NotifyReceiver(t, std::move(records), push_bytes);
+    };
+    auto finish = [this, fills = std::move(out.cache_fills)](TaskRun& t) {
+      StoreCacheFills(t, fills);
+      FinishTask(t);
+    };
     sim_.Schedule(cpu * kEarlyPushFraction,
-                  [this, t, epoch, producer_sr,
-                   records = std::move(out.records),
-                   push_bytes = out.compressed_bytes]() mutable {
-                    if (t->epoch != epoch) return;
-                    NotifyReceiver(*producer_sr, *t, std::move(records),
-                                   push_bytes);
-                  });
-    sim_.Schedule(cpu, [this, t, epoch, fills = std::move(out.cache_fills)] {
-      if (t->epoch != epoch) return;
-      for (auto& fill : fills) {
-        cluster_.blocks().Put(t->node,
-                              BlockId::Cached(fill.rdd, fill.partition),
-                              fill.records);
-      }
-      FinishTask(*t);
-    });
+                  OnThisAttempt(task, std::move(push)));
+    sim_.Schedule(cpu, OnThisAttempt(task, std::move(finish)));
     return;
   }
+  CommitAfter(task, cpu, std::move(out));
+}
 
-  auto commit = [this, t, epoch, out = std::move(out)]() mutable {
-    if (t->epoch != epoch) return;
-    for (auto& fill : out.cache_fills) {
-      cluster_.blocks().Put(t->node, BlockId::Cached(fill.rdd, fill.partition),
-                            fill.records);
-    }
-    OnComputeDone(*t, std::move(out));
+void JobRunner::CommitAfter(TaskRun& task, SimTime cpu, TaskComputeResult out) {
+  auto commit = [this, out = std::move(out)](TaskRun& t) mutable {
+    StoreCacheFills(t, out.cache_fills);
+    OnComputeDone(t, std::move(out));
   };
-  sim_.Schedule(cpu, std::move(commit));
+  sim_.Schedule(cpu, OnThisAttempt(task, std::move(commit)));
+}
+
+void JobRunner::StoreCacheFills(
+    const TaskRun& task, const std::vector<EvalResult::CacheFill>& fills) {
+  for (const EvalResult::CacheFill& fill : fills) {
+    cluster_.blocks().Put(task.node, BlockId::Cached(fill.rdd, fill.partition),
+                          fill.records);
+  }
 }
 
 void JobRunner::OnTaskFailed(TaskRun& task) {
@@ -710,17 +701,23 @@ void JobRunner::OnTaskFailed(TaskRun& task) {
   GS_LOG_INFO << "task " << sr.stage.id << "/" << task.partition
               << " failed on " << topo_.node(task.node).name << ", retrying";
   cluster_.scheduler().ReleaseSlot(task.node, tenant_);
+  ResetAttempt(task);
+  SubmitTask(task);
+}
+
+void JobRunner::ResetAttempt(TaskRun& task) {
   ++task.epoch;
   ++task.attempt;
   task.assigned = false;
   task.node = kNoNode;
-  SubmitTask(task);
+  task.gather_srcs.clear();
+  task.gathered.clear();
+  task.pending_gathers = 0;
+  task.in_bytes = 0;
 }
 
 void JobRunner::OnComputeDone(TaskRun& task, TaskComputeResult out) {
   StageRun& sr = stage_run(task.stage);
-  TaskRun* t = &task;
-  const int epoch = task.epoch;
 
   switch (sr.stage.output) {
     case StageOutputKind::kResult: {
@@ -737,11 +734,9 @@ void JobRunner::OnComputeDone(TaskRun& task, TaskComputeResult out) {
         cluster_.disk().Write(task.node, 3 * out.out_bytes, [] {});
       }
       results_[task.partition] = std::move(out.records);
-      cluster_.network().StartFlow(task.node, cluster_.driver_node(), bytes,
-                                   FlowKind::kCollect, [this, t, epoch] {
-                                     if (t->epoch != epoch) return;
-                                     FinishTask(*t);
-                                   });
+      cluster_.network().StartFlow(
+          task.node, cluster_.driver_node(), bytes, FlowKind::kCollect,
+          OnThisAttempt(task, [this](TaskRun& t) { FinishTask(t); }));
       break;
     }
     case StageOutputKind::kShuffleWrite: {
@@ -753,29 +748,27 @@ void JobRunner::OnComputeDone(TaskRun& task, TaskComputeResult out) {
       const int num_shards = info.partitioner->num_shards();
       const int num_maps = sr.stage.output_rdd->num_partitions();
       cluster_.tracker().RegisterShuffle(info.id, num_maps, num_shards);
-      const int map_partition = task.partition;
       cluster_.disk().Write(
           task.node, out.shard_total_bytes,
-          [this, t, epoch, map_partition, sid = info.id,
-           shards = std::move(out.shards),
-           shard_bytes = std::move(out.shard_bytes)]() mutable {
-            if (t->epoch != epoch) return;
+          OnThisAttempt(task, [this, sid = info.id,
+                               shards = std::move(out.shards),
+                               shard_bytes = std::move(out.shard_bytes)](
+                                  TaskRun& t) mutable {
             std::vector<RecordsPtr> recs;
             recs.reserve(shards.size());
             for (int k = 0; k < static_cast<int>(shards.size()); ++k) {
               recs.push_back(MakeRecords(std::move(shards[k])));
               cluster_.blocks().PutWithSize(
-                  t->node, BlockId::Shuffle(sid, map_partition, k),
-                  recs.back(), shard_bytes[k]);
+                  t.node, BlockId::Shuffle(sid, t.partition, k), recs.back(),
+                  shard_bytes[k]);
             }
-            cluster_.tracker().RegisterMapOutput(sid, map_partition, t->node,
+            cluster_.tracker().RegisterMapOutput(sid, t.partition, t.node,
                                                  shard_bytes);
             if (config_.coded.enabled) {
-              PutReplicaOutputs(sid, map_partition, t->node, recs,
-                                shard_bytes);
+              PutReplicaOutputs(sid, t.partition, t.node, recs, shard_bytes);
             }
-            FinishTask(*t);
-          });
+            FinishTask(t);
+          }));
       break;
     }
     case StageOutputKind::kTransferProduce: {
@@ -783,7 +776,7 @@ void JobRunner::OnComputeDone(TaskRun& task, TaskComputeResult out) {
       // after this task's slot is released (pipelining: the WAN transfer
       // overlaps later map tasks, Fig. 1b). No disk write on the producer
       // (Sec. IV-B, "unnecessary disk I/O is avoided").
-      NotifyReceiver(sr, task, std::move(out.records), out.compressed_bytes);
+      NotifyReceiver(task, std::move(out.records), out.compressed_bytes);
       FinishTask(task);
       break;
     }
@@ -807,11 +800,10 @@ void JobRunner::FinishTask(TaskRun& task) {
   if (TraceCollector* trace = cluster_.trace()) {
     TraceSpan span;
     span.kind = TraceSpan::Kind::kTask;
-    span.category = sr.stage.starts_at_transfer && !sr.standalone
-                        ? "receiver"
-                    : IsReducerStage(sr)                             ? "reduce"
-                    : sr.stage.output == StageOutputKind::kResult    ? "result"
-                                                                     : "map";
+    span.category = sr.is_receiver()                              ? "receiver"
+                    : IsReducerStage(sr)                          ? "reduce"
+                    : sr.stage.output == StageOutputKind::kResult ? "result"
+                                                                  : "map";
     span.name = "stage" + std::to_string(sr.stage.id) + "/part" +
                 std::to_string(task.partition) +
                 (task.speculative ? "#spec" : task.attempt > 0 ? "#retry" : "");
@@ -895,9 +887,8 @@ void JobRunner::OnNodeCrashed(NodeIndex node) {
   for (auto& srp : stage_runs_) {
     StageRun& sr = *srp;
     if (sr.skipped || !sr.submitted) continue;
-    const bool receiver_stage = sr.stage.starts_at_transfer && !sr.standalone;
     auto handle = [&](TaskRun& task) {
-      if (receiver_stage) {
+      if (sr.is_receiver()) {
         // Completed receivers lose their written shuffle blocks with the
         // node; that is discovered lazily at fetch time like any map loss.
         if (task.done || task.node != node) return;
@@ -912,19 +903,8 @@ void JobRunner::OnNodeCrashed(NodeIndex node) {
         // producer task itself must be re-run (its receiver is reset by
         // RestartTask/ResubmitCompletedTask). Finished *map* outputs stay
         // registered until a fetch failure (lazy detection).
-        if (sr.stage.output == StageOutputKind::kTransferProduce &&
-            sr.stage.transfer_consumer >= 0 && task.node == node) {
-          TaskRun& recv =
-              *stage_run(sr.stage.transfer_consumer).tasks[task.partition];
-          if (!recv.done && recv.producer_done && !recv.data_landed &&
-              recv.producer_node == node) {
-            ++recv.epoch;
-            recv.producer_done = false;
-            recv.receiver_started = false;
-            recv.inbox.reset();
-            recv.inbox_bytes = 0;
-            ResubmitCompletedTask(sr, task);
-          }
+        if (task.node == node && DropUnlandedPush(sr, task)) {
+          ResubmitCompletedTask(sr, task);
         }
         return;
       }
@@ -948,35 +928,32 @@ void JobRunner::RestartTask(TaskRun& task) {
   GS_CHECK(!task.done);
   GS_LOG_INFO << "restarting task " << sr.stage.id << "/" << task.partition
               << " (attempt " << task.attempt + 1 << ")";
-  ++task.epoch;
-  // A running transfer producer that already pushed: if the push has not
-  // landed, it dies with this node — reset the receiver so the re-run's
-  // push is accepted.
-  if (sr.stage.output == StageOutputKind::kTransferProduce &&
-      sr.stage.transfer_consumer >= 0) {
-    TaskRun& recv =
-        *stage_run(sr.stage.transfer_consumer).tasks[task.partition];
-    if (!recv.done && recv.producer_done && !recv.data_landed &&
-        recv.producer_node == task.node) {
-      ++recv.epoch;
-      recv.producer_done = false;
-      recv.receiver_started = false;
-      recv.inbox.reset();
-      recv.inbox_bytes = 0;
-    }
-  }
+  // A running transfer producer that already pushed loses an unlanded
+  // push with this node.
+  DropUnlandedPush(sr, task);
   // Frees the held slot when the task is restarted because a gather
   // *source* died; with the task's own node down only the tenant's busy
   // count balances (the slot died with the executor).
   cluster_.scheduler().ReleaseSlot(task.node, tenant_);
-  ++task.attempt;
-  task.assigned = false;
-  task.node = kNoNode;
-  task.gather_srcs.clear();
-  task.gathered.clear();
-  task.pending_gathers = 0;
-  task.in_bytes = 0;
+  ResetAttempt(task);
   SubmitTask(task);
+}
+
+bool JobRunner::DropUnlandedPush(const StageRun& producer_sr,
+                                 const TaskRun& producer) {
+  if (!producer_sr.is_producer()) return false;
+  TaskRun& recv =
+      *stage_run(producer_sr.stage.transfer_consumer).tasks[producer.partition];
+  if (recv.done || !recv.producer_done || recv.data_landed ||
+      recv.producer_node != producer.node) {
+    return false;
+  }
+  ++recv.epoch;
+  recv.producer_done = false;
+  recv.receiver_started = false;
+  recv.inbox.reset();
+  recv.inbox_bytes = 0;
+  return true;
 }
 
 void JobRunner::ResubmitCompletedTask(StageRun& sr, TaskRun& task) {
@@ -986,38 +963,21 @@ void JobRunner::ResubmitCompletedTask(StageRun& sr, TaskRun& task) {
   sr.partition_done[task.partition] = false;
   // The stage will re-fire OnStageDone when the re-run completes.
   sr.done = false;
-  ++task.epoch;
-  ++task.attempt;
-  if (sr.stage.starts_at_transfer && !sr.standalone) {
+  ResetAttempt(task);
+  if (sr.is_receiver()) {
     // Re-run of a receiver: re-push the retained inbox to a fresh node in
     // the aggregator subset (recovery stays datacenter-local there).
     GS_CHECK(task.producer_done && task.inbox != nullptr);
-    task.assigned = false;
     task.receiver_started = false;
     task.data_landed = false;
     task.node = PickReceiverNode(sr, kNoNode);
     if (!cluster_.scheduler().node_up(task.producer_node)) {
-      // The push source died too: recompute the producer, which re-pushes.
-      task.producer_done = false;
-      task.inbox.reset();
-      task.inbox_bytes = 0;
-      StageRun& producer_sr = stage_run(sr.stage.transfer_producer);
-      TaskRun& pt = *producer_sr.tasks[task.partition];
-      if (pt.done) {
-        ResubmitCompletedTask(producer_sr, pt);
-      } else if (pt.assigned) {
-        RestartTask(pt);
-      }
-      return;
+      RecomputeProducer(task);  // the push source died too
+    } else {
+      TryDeliver(task);
     }
-    TryDeliver(task);
     return;
   }
-  task.assigned = false;
-  task.node = kNoNode;
-  task.gather_srcs.clear();
-  task.gathered.clear();
-  task.pending_gathers = 0;
   SubmitTask(task);
 }
 
@@ -1035,12 +995,7 @@ void JobRunner::HandleFetchFailure(TaskRun& task, ShuffleId sid,
   // shard — over the WAN under fetch-based shuffle, within the aggregator
   // datacenter under Push/Aggregate (the paper's Fig. 2 asymmetry).
   cluster_.scheduler().ReleaseSlot(task.node, tenant_);
-  ++task.epoch;
-  ++task.attempt;
-  task.assigned = false;
-  task.node = kNoNode;
-  task.gathered.clear();
-  task.gather_srcs.clear();
+  ResetAttempt(task);
 
   // Invalidate only outputs that are still unusable *now*. This doomed
   // attempt observed the loss a gather-RTT ago; the parent map may have
@@ -1098,9 +1053,8 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
     // grant is released on delivery). Gated on adaptivity because the
     // extra grant/release cycle perturbs assignment order, and
     // non-adaptive runs must stay byte-identical to the seed goldens.
-    cluster_.scheduler().UpdatePreferences(
-        static_cast<TaskId>(receiver.stage) * 100000 + receiver.partition,
-        {}, PlacementPolicy::kAnyAfterWait);
+    cluster_.scheduler().UpdatePreferences(SchedulerTaskId(receiver), {},
+                                           PlacementPolicy::kAnyAfterWait);
   }
   receiver.receiver_started = false;
   receiver.data_landed = false;
@@ -1111,19 +1065,9 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
     return;
   }
   if (!cluster_.scheduler().node_up(receiver.producer_node)) {
-    // Double fault: the push source died too, so the retained output is
-    // gone — recompute the producer, which will re-notify.
-    receiver.producer_done = false;
-    receiver.inbox.reset();
-    receiver.inbox_bytes = 0;
+    // Double fault: the push source died too.
     receiver.node = PickReceiverNode(consumer, kNoNode);
-    StageRun& producer_sr = stage_run(consumer.stage.transfer_producer);
-    TaskRun& pt = *producer_sr.tasks[receiver.partition];
-    if (pt.done) {
-      ResubmitCompletedTask(producer_sr, pt);
-    } else if (pt.assigned) {
-      RestartTask(pt);
-    }
+    RecomputeProducer(receiver);
     return;
   }
   if (receiver.push_retries >= config_.transport.max_push_retries) {
@@ -1150,33 +1094,36 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
               << consumer.stage.id << "/" << receiver.partition << " to "
               << topo_.node(receiver.node).name << " after " << backoff
               << "s";
-  TaskRun* r = &receiver;
-  const int epoch = receiver.epoch;
-  sim_.Schedule(backoff, [this, r, epoch] {
-    if (r->epoch != epoch) return;
-    TryDeliver(*r);
-  });
+  sim_.Schedule(backoff,
+                OnThisAttempt(receiver, [this](TaskRun& r) { TryDeliver(r); }));
+}
+
+void JobRunner::RecomputeProducer(TaskRun& receiver) {
+  receiver.producer_done = false;
+  receiver.inbox.reset();
+  receiver.inbox_bytes = 0;
+  StageRun& producer_sr =
+      stage_run(stage_run(receiver.stage).stage.transfer_producer);
+  TaskRun& pt = *producer_sr.tasks[receiver.partition];
+  if (pt.done) {
+    ResubmitCompletedTask(producer_sr, pt);
+  } else if (pt.assigned) {
+    RestartTask(pt);
+  }
 }
 
 NodeIndex JobRunner::PickReceiverNode(StageRun& consumer, NodeIndex exclude) {
   GS_CHECK(!consumer.aggregator_dcs.empty());
   std::vector<NodeIndex> candidates;
-  for (DcIndex dc : consumer.aggregator_dcs) {
-    for (NodeIndex n : topo_.nodes_in(dc)) {
-      if (topo_.node(n).worker && cluster_.scheduler().node_up(n) &&
-          n != exclude) {
-        candidates.push_back(n);
-      }
+  auto add_live = [&](DcIndex dc) {
+    for (NodeIndex n : WorkersIn(dc, /*live_only=*/true)) {
+      if (n != exclude) candidates.push_back(n);
     }
-  }
+  };
+  for (DcIndex dc : consumer.aggregator_dcs) add_live(dc);
   if (candidates.empty()) {
     // Aggregator subset fully down: spill to any live worker.
-    for (NodeIndex n = 0; n < topo_.num_nodes(); ++n) {
-      if (topo_.node(n).worker && cluster_.scheduler().node_up(n) &&
-          n != exclude) {
-        candidates.push_back(n);
-      }
-    }
+    for (DcIndex dc = 0; dc < topo_.num_datacenters(); ++dc) add_live(dc);
   }
   GS_CHECK_MSG(!candidates.empty(), "no live worker to host a receiver");
   return candidates[consumer.rr_next++ % candidates.size()];
@@ -1210,9 +1157,9 @@ void JobRunner::ReplanReceivers() {
   const SimTime now = sim_.Now();
   for (auto& srp : stage_runs_) {
     StageRun& consumer = *srp;
-    if (!consumer.stage.starts_at_transfer || consumer.standalone) continue;
+    if (!consumer.is_receiver()) continue;
     if (!consumer.submitted || consumer.done || consumer.skipped) continue;
-    // Rate limit: at most one pass per min_replan_interval of *strictly
+    // Rate limit: at most one pass per kMinReplanInterval of *strictly
     // later* time. Several degradation events landing at the same instant
     // (a fault plan collapsing a whole ingress at once) each re-run the
     // pass, so the last one sees every link already degraded. An event
@@ -1220,13 +1167,12 @@ void JobRunner::ReplanReceivers() {
     // being dropped — the documented "absorbed by the next pass".
     const SimTime elapsed =
         consumer.last_replan < 0 ? -1 : now - consumer.last_replan;
-    if (elapsed > 0 && elapsed < config_.adaptive.min_replan_interval) {
+    if (elapsed > 0 && elapsed < kMinReplanInterval) {
       if (!consumer.replan_pending) {
         consumer.replan_pending = true;
         const StageId sid = consumer.stage.id;
         sim_.ScheduleAt(
-            consumer.last_replan + config_.adaptive.min_replan_interval,
-            [this, sid] {
+            consumer.last_replan + kMinReplanInterval, [this, sid] {
               StageRun& sr = stage_run(sid);
               sr.replan_pending = false;
               if (job_done_ || sr.done || sr.skipped) return;
@@ -1246,7 +1192,6 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
   if (producer_sr.stage.consumer_transfer->target_dc() != kNoDc) {
     return false;  // the application pinned this transfer's destination
   }
-  const AdaptiveConfig& ac = config_.adaptive;
   const std::vector<Bytes> per_dc = StageInputPerDc(producer_sr);
   AggregatorPlacementPolicy::Context ctx = PolicyContext();
   std::vector<DcIndex> ranking = policy_->Rank(ctx, per_dc);
@@ -1254,17 +1199,14 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
                            topo_.num_datacenters());
   ranking.resize(k);
 
-  // Hysteresis on the primary choice: abandon the current subset only when
-  // the policy scores the new best at least `hysteresis` times cheaper —
-  // an estimate barely better than the incumbent is noise, and moving on
-  // it would thrash placements on every jitter wobble. The static policy
-  // scores every datacenter 0, so it can never trigger a move.
+  // Hysteresis on the primary choice (kReplanHysteresis). The static
+  // policy scores every datacenter 0, so it can never trigger a move.
   bool retargeted = false;
   if (ranking != consumer.aggregator_dcs) {
     const double cur =
         policy_->Score(ctx, per_dc, consumer.aggregator_dcs.front());
     const double alt = policy_->Score(ctx, per_dc, ranking.front());
-    if (alt * ac.hysteresis < cur) {
+    if (alt * kReplanHysteresis < cur) {
       GS_LOG_INFO << "replan: stage " << consumer.stage.id << " aggregator "
                   << topo_.datacenter(consumer.aggregator_dcs.front()).name
                   << " -> " << topo_.datacenter(ranking.front()).name
@@ -1305,7 +1247,7 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
 
     // Per-shard push->fetch fallback: when the push path into the chosen
     // datacenter has measurably collapsed — effective bandwidth below
-    // degrade_threshold of the link's base rate — keep the shard on its
+    // kDegradeThreshold of the link's base rate — keep the shard on its
     // producer (a co-located no-op write) and let downstream reducers
     // fetch it. The mid-job analogue of RecoverReceiver's terminal
     // fallback, triggered by measurement instead of exhausted retries.
@@ -1315,9 +1257,9 @@ bool JobRunner::ReplanStage(StageRun& consumer) {
       const DcIndex dst_dc = topo_.dc_of(target);
       const int link = topo_.wan_link_index(src_dc, dst_dc);
       if (link >= 0 &&
-          cluster_.network().EstimateWanBandwidth(
-              src_dc, dst_dc, ac.bandwidth_window) <
-              ac.degrade_threshold * topo_.wan_link(link).base_rate) {
+          cluster_.network().EstimateWanBandwidth(src_dc, dst_dc,
+                                                  kBandwidthWindow) <
+              kDegradeThreshold * topo_.wan_link(link).base_rate) {
         target = r.producer_node;
         r.push_fallback = true;
         ++fallbacks;
@@ -1368,12 +1310,7 @@ void JobRunner::PlaceReceiver(StageRun& producer_sr, TaskRun& producer_task) {
   // worker, fall back to recovery's pick over the whole subset.
   const int cursor = consumer.rr_next++;
   const DcIndex dc = targets[cursor % targets.size()];
-  std::vector<NodeIndex> workers;
-  for (NodeIndex n : topo_.nodes_in(dc)) {
-    if (topo_.node(n).worker && cluster_.scheduler().node_up(n)) {
-      workers.push_back(n);
-    }
-  }
+  const std::vector<NodeIndex> workers = WorkersIn(dc, /*live_only=*/true);
   if (workers.empty()) {
     receiver.node = PickReceiverNode(consumer, kNoNode);
     return;
@@ -1382,9 +1319,10 @@ void JobRunner::PlaceReceiver(StageRun& producer_sr, TaskRun& producer_task) {
       workers[(cursor / targets.size()) % workers.size()];
 }
 
-void JobRunner::NotifyReceiver(StageRun& producer_sr, TaskRun& producer_task,
+void JobRunner::NotifyReceiver(TaskRun& producer_task,
                                std::vector<Record> records,
                                Bytes push_bytes) {
+  const StageRun& producer_sr = stage_run(producer_task.stage);
   GS_CHECK(producer_sr.stage.transfer_consumer >= 0);
   StageRun& consumer = stage_run(producer_sr.stage.transfer_consumer);
   TaskRun& receiver = *consumer.tasks[producer_task.partition];
@@ -1406,14 +1344,10 @@ void JobRunner::TryDeliver(TaskRun& receiver) {
     return;
   }
   receiver.receiver_started = true;
-  TaskRun* r = &receiver;
-  const int epoch = receiver.epoch;
+  auto landed = [this](TaskRun& r) { ReceiverGotData(r); };
   if (receiver.producer_node == receiver.node) {
     // Co-located: the transferTo task is transparent (Sec. IV-C2).
-    sim_.Schedule(kLocalHandoff, [this, r, epoch] {
-      if (r->epoch != epoch) return;
-      ReceiverGotData(*r);
-    });
+    sim_.Schedule(kLocalHandoff, OnThisAttempt(receiver, landed));
   } else {
     AccountFlow(receiver.producer_node, receiver.node, receiver.inbox_bytes,
                 FlowKind::kShufflePush);
@@ -1422,10 +1356,7 @@ void JobRunner::TryDeliver(TaskRun& receiver) {
     transfer.dst = receiver.node;
     transfer.bytes = receiver.inbox_bytes;
     transfer.kind = FlowKind::kShufflePush;
-    transfer.on_landed = [this, r, epoch] {
-      if (r->epoch != epoch) return;
-      ReceiverGotData(*r);
-    };
+    transfer.on_landed = OnThisAttempt(receiver, landed);
     cluster_.transport().Transfer(std::move(transfer));
   }
 }
@@ -1444,24 +1375,16 @@ void JobRunner::ExecuteReceiver(TaskRun& receiver) {
   LeafRef leaf = ResolveLeaf(*sr.stage.output_rdd, receiver.partition);
   GS_CHECK(leaf.leaf->kind() == RddKind::kTransferred);
 
-  TaskComputeSpec spec;
-  spec.output_rdd = sr.stage.output_rdd.get();
-  spec.partition = receiver.partition;
+  // Receivers combine whenever the stage asks: disable_map_side_combine
+  // only switches off the *map-side* pass (the Sec. IV-C3 knob); the
+  // receiver's combine is the aggregation the transfer exists for.
+  TaskComputeSpec spec =
+      ComputeSpec(sr, receiver.partition, /*combine=*/true);
   spec.start.rdd = leaf.leaf;
   spec.start.partition = leaf.partition;
   // Copy, don't consume: the inbox is retained so a crash of this node can
   // be recovered by re-pushing instead of recomputing the producer.
   spec.start.records = *receiver.inbox;
-  // Receivers combine whenever the stage asks: disable_map_side_combine
-  // only switches off the *map-side* pass (the Sec. IV-C3 knob); the
-  // receiver's combine is the aggregation the transfer exists for.
-  if (sr.stage.pre_output_combine) {
-    spec.combine = &sr.stage.pre_output_combine;
-  }
-  spec.output = sr.stage.output;
-  if (sr.stage.consumer_shuffle != nullptr) {
-    spec.consumer_shuffle = &sr.stage.consumer_shuffle->shuffle();
-  }
   receiver.in_bytes = receiver.inbox_bytes;
 
   // One compute path for every task kind: receivers run through the pool
@@ -1474,17 +1397,22 @@ void JobRunner::ExecuteReceiver(TaskRun& receiver) {
                               .get();
   // Receiving is I/O-bound; charge a nominal CPU cost for deserialization.
   const SimTime cpu = config_.cost.CpuTime(0, out.out_bytes / 4);
+  CommitAfter(receiver, cpu, std::move(out));
+}
 
-  TaskRun* r = &receiver;
-  const int epoch = receiver.epoch;
-  sim_.Schedule(cpu, [this, r, epoch, out = std::move(out)]() mutable {
-    if (r->epoch != epoch) return;
-    for (auto& fill : out.cache_fills) {
-      cluster_.blocks().Put(r->node, BlockId::Cached(fill.rdd, fill.partition),
-                            fill.records);
-    }
-    OnComputeDone(*r, std::move(out));
-  });
+TaskComputeSpec JobRunner::ComputeSpec(const StageRun& sr, int partition,
+                                       bool combine) const {
+  TaskComputeSpec spec;
+  spec.output_rdd = sr.stage.output_rdd.get();
+  spec.partition = partition;
+  if (combine && sr.stage.pre_output_combine) {
+    spec.combine = &sr.stage.pre_output_combine;
+  }
+  spec.output = sr.stage.output;
+  if (sr.stage.consumer_shuffle != nullptr) {
+    spec.consumer_shuffle = &sr.stage.consumer_shuffle->shuffle();
+  }
+  return spec;
 }
 
 // ---------------------------------------------------------------------------
@@ -1533,6 +1461,22 @@ double JobRunner::StragglerFactor() {
     factor *= cost.straggler_factor;
   }
   return factor;
+}
+
+std::vector<NodeIndex> JobRunner::WorkersIn(DcIndex dc, bool live_only) const {
+  std::vector<NodeIndex> workers;
+  for (NodeIndex n : topo_.nodes_in(dc)) {
+    if (topo_.node(n).worker &&
+        (!live_only || cluster_.scheduler().node_up(n))) {
+      workers.push_back(n);
+    }
+  }
+  return workers;
+}
+
+TaskId JobRunner::SchedulerTaskId(const TaskRun& task) const {
+  return (static_cast<TaskId>(job_id_) << 40) |
+         (static_cast<TaskId>(task.stage) << 20) | task.partition;
 }
 
 bool JobRunner::IsReducerStage(const StageRun& sr) const {
@@ -1621,10 +1565,7 @@ int JobRunner::CodedR() const {
 }
 
 NodeIndex JobRunner::CodedNodeInDc(DcIndex dc, int salt) const {
-  std::vector<NodeIndex> workers;
-  for (NodeIndex n : topo_.nodes_in(dc)) {
-    if (topo_.node(n).worker) workers.push_back(n);
-  }
+  const std::vector<NodeIndex> workers = WorkersIn(dc, /*live_only=*/false);
   if (workers.empty()) return kNoNode;
   const int count = static_cast<int>(workers.size());
   for (int i = 0; i < count; ++i) {
@@ -1660,9 +1601,6 @@ void JobRunner::StartCodedExchange(StageId id) {
   const int num_shards = tracker.num_shards(sid);
   const int num_dcs = topo_.num_datacenters();
   const int r = CodedR();
-  const int max_group = config_.coded.max_group > 0
-                            ? std::min(config_.coded.max_group, num_dcs)
-                            : r;
 
   sr.coded_pending = 1;  // guard, released once every transfer is launched
 
@@ -1780,8 +1718,8 @@ void JobRunner::StartCodedExchange(StageId id) {
     // node spills to a neighbour in the same datacenter, never to a
     // remote one that would re-fetch the whole shard cross-DC.
     prefs[k].push_back(landing);
-    for (NodeIndex n : topo_.nodes_in(home)) {
-      if (n != landing && topo_.node(n).worker) prefs[k].push_back(n);
+    for (NodeIndex n : WorkersIn(home, /*live_only=*/false)) {
+      if (n != landing) prefs[k].push_back(n);
     }
 
     for (int m = 0; m < num_maps; ++m) {
@@ -1825,7 +1763,7 @@ void JobRunner::StartCodedExchange(StageId id) {
     }
   }
 
-  // XOR groups (Coded MapReduce): up to max_group segments with pairwise
+  // XOR groups (Coded MapReduce): up to r segments with pairwise
   // distinct home datacenters, replicated together in some serving
   // datacenter, where each receiver already holds every other member — so
   // one multicast of the shortest member's length serves the whole group
@@ -1837,7 +1775,7 @@ void JobRunner::StartCodedExchange(StageId id) {
     if (used[i]) continue;
     std::vector<std::size_t> group = {i};
     for (std::size_t j = i + 1;
-         j < wan.size() && static_cast<int>(group.size()) < max_group; ++j) {
+         j < wan.size() && static_cast<int>(group.size()) < r; ++j) {
       if (used[j]) continue;
       bool ok = true;
       for (std::size_t g : group) {
@@ -2008,8 +1946,7 @@ std::vector<DcIndex> JobRunner::ChooseAggregatorDcs(const StageRun& producer_sr)
 }
 
 void JobRunner::CentralizeInputsThenStart() {
-  DcIndex central = config_.central_dc;
-  if (central == kNoDc) central = cluster_.ChooseCentralDc(final_rdd_);
+  const DcIndex central = cluster_.ChooseCentralDc(final_rdd_);
 
   // Collect every source RDD reachable from the final RDD.
   std::vector<const SourceRdd*> sources;
@@ -2026,11 +1963,8 @@ void JobRunner::CentralizeInputsThenStart() {
   };
   walk(*final_rdd_);
 
-  const std::vector<NodeIndex>& central_nodes = topo_.nodes_in(central);
-  std::vector<NodeIndex> central_workers;
-  for (NodeIndex n : central_nodes) {
-    if (topo_.node(n).worker) central_workers.push_back(n);
-  }
+  const std::vector<NodeIndex> central_workers =
+      WorkersIn(central, /*live_only=*/false);
   GS_CHECK(!central_workers.empty());
 
   StageMetrics relocation;

@@ -69,10 +69,8 @@ class JobRunner {
     StageId stage = -1;
     int partition = -1;
     int attempt = 0;
-    // Bumped every time this task is restarted or recovered. Every async
-    // continuation captures the epoch at schedule time and no-ops if the
-    // task moved on — this is how a crash "kills" callbacks belonging to a
-    // dead attempt without tracking them individually.
+    // Bumped every time this task is restarted or recovered; continuations
+    // of an older attempt no-op (OnThisAttempt in job_runner.cc).
     int epoch = 0;
     NodeIndex node = kNoNode;
     bool assigned = false;
@@ -129,15 +127,24 @@ class JobRunner {
     // (pruned) producer.
     bool standalone = false;
     int tasks_done = 0;
+
+    // Paired with a transfer producer: each task runs once its push lands.
+    bool is_receiver() const { return stage.starts_at_transfer && !standalone; }
+    // Pushes each computed partition to a paired receiver task.
+    bool is_producer() const {
+      return stage.output == StageOutputKind::kTransferProduce &&
+             stage.transfer_consumer >= 0;
+    }
+
     // Datacenters this stage's receiver tasks land in (usually one;
     // several when RunConfig::aggregator_dc_count > 1).
     std::vector<DcIndex> aggregator_dcs;
     int rr_next = 0;  // round-robin cursor for receiver placement
     // Last time the adaptive replanner reconsidered this stage's placement
-    // (-1 = never); rate-limits replanning to AdaptiveConfig::
-    // min_replan_interval so a bursty jitter trace cannot thrash. A WAN
-    // change inside the window sets replan_pending and a catch-up pass
-    // runs when the window expires, so absorbed events are not lost.
+    // (-1 = never); rate-limits replanning to kMinReplanInterval so a
+    // bursty jitter trace cannot thrash. A WAN change inside the window
+    // sets replan_pending and a catch-up pass runs when the window
+    // expires, so absorbed events are not lost.
     SimTime last_replan = -1;
     bool replan_pending = false;
     std::vector<std::unique_ptr<TaskRun>> tasks;
@@ -176,14 +183,26 @@ class JobRunner {
   // shard) at FlushComputeBatch — a gather barrier releasing k tasks at
   // the same instant enqueues them all at once.
   void SubmitCompute(TaskRun& task);
+  // The stage-level part of a task's compute job; callers fill in `start`.
+  // `combine` false drops the stage's pre-output combine.
+  TaskComputeSpec ComputeSpec(const StageRun& sr, int partition,
+                              bool combine) const;
   // Hands the accumulated wave to the pool. Runs from a zero-delay event
   // scheduled by the first SubmitCompute of the instant, and eagerly from
   // OnGatherDone before joining a future (a same-instant gather can need
   // its result before the flush event fires). Idempotent.
   void FlushComputeBatch();
   void OnGatherDone(TaskRun& task);
+  // After `cpu` of simulated compute, stores the attempt's cache fills and
+  // hands its output to OnComputeDone.
+  void CommitAfter(TaskRun& task, SimTime cpu, TaskComputeResult out);
+  void StoreCacheFills(const TaskRun& task,
+                       const std::vector<EvalResult::CacheFill>& fills);
   void OnComputeDone(TaskRun& task, TaskComputeResult out);
   void OnTaskFailed(TaskRun& task);
+  // Starts a fresh attempt: bumps epoch and attempt, and forgets the old
+  // attempt's node and gather state. Callers release its slot first.
+  void ResetAttempt(TaskRun& task);
   void FinishTask(TaskRun& task);
 
   // --- fault recovery ---
@@ -195,6 +214,10 @@ class JobRunner {
                           const std::vector<int>& missing);
   // Restarts a running task whose node died or whose gather source died.
   void RestartTask(TaskRun& task);
+  // A producer's push that has not landed dies with the producer's node:
+  // resets the paired receiver so the producer's re-run pushes again.
+  // Returns false when the stage pushes nothing or no such push exists.
+  bool DropUnlandedPush(const StageRun& producer_sr, const TaskRun& producer);
   // Re-runs a finished task (lost output that must be regenerated). Undoes
   // the stage's completion bookkeeping; the stage re-fires OnStageDone when
   // the re-run finishes.
@@ -203,6 +226,10 @@ class JobRunner {
   // after an exponential backoff, falling back to the producer's own node
   // (push degrades to fetch) once retries are exhausted.
   void RecoverReceiver(TaskRun& receiver);
+  // Double fault: the push source died too, so the pushed output is gone.
+  // Drops the receiver's inbox and recomputes the producer, whose push
+  // then goes to receiver.node.
+  void RecomputeProducer(TaskRun& receiver);
   NodeIndex PickReceiverNode(StageRun& consumer, NodeIndex exclude);
   StageId StageWritingShuffle(ShuffleId sid) const;
   // Launches backup copies of stragglers once enough of the stage is done
@@ -214,8 +241,8 @@ class JobRunner {
   // push can start straight at producer completion (pipelining, Fig. 1b);
   // the receiver only acquires an executor slot for its write phase.
   void PlaceReceiver(StageRun& producer_sr, TaskRun& producer_task);
-  void NotifyReceiver(StageRun& producer_sr, TaskRun& producer_task,
-                      std::vector<Record> records, Bytes push_bytes);
+  void NotifyReceiver(TaskRun& producer_task, std::vector<Record> records,
+                      Bytes push_bytes);
   void TryDeliver(TaskRun& receiver);
   void ReceiverGotData(TaskRun& receiver);  // data landed: request a slot
   void ExecuteReceiver(TaskRun& receiver);  // slot acquired: run the chain
@@ -252,8 +279,8 @@ class JobRunner {
   // alternates (landing node first, then the largest replica holders).
   void AppendCodedAlternates(ShuffleId sid, int shard,
                              std::vector<NodeIndex>* prefs) const;
-  // Satellite fix: a cached partition whose every replica is dead or
-  // evicted at planning time is counted, not just logged.
+  // Counts a cached partition whose every replica is dead or evicted at
+  // aggregator planning time.
   void CountPlacementMiss();
 
   // --- adaptive replanning (docs/ADAPTIVE.md) ---
@@ -261,7 +288,7 @@ class JobRunner {
   // not-yet-started receiver shards off datacenters the policy now ranks
   // worse (hysteresis-guarded) and degrades individual shards push->fetch
   // when their push path's measured bandwidth fell below
-  // degrade_threshold x base rate.
+  // kDegradeThreshold x base rate.
   void ReplanReceivers();
   // One consumer stage's replanning pass; returns true if anything moved.
   bool ReplanStage(StageRun& consumer);
@@ -284,6 +311,12 @@ class JobRunner {
   std::vector<DcIndex> ChooseAggregatorDcs(const StageRun& producer_sr);
   void CentralizeInputsThenStart();
   StageRun& stage_run(StageId id) { return *stage_runs_[id]; }
+  // Workers hosted in `dc`, in topology order; with `live_only`, just those
+  // whose executor is up.
+  std::vector<NodeIndex> WorkersIn(DcIndex dc, bool live_only) const;
+  // The scheduler-side id of a task; unique across concurrent jobs, which
+  // share one scheduler queue. Speculative twins share their partition's.
+  TaskId SchedulerTaskId(const TaskRun& task) const;
   bool IsReducerStage(const StageRun& sr) const;
 
   GeoCluster& cluster_;

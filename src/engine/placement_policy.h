@@ -37,6 +37,11 @@ namespace gs {
 
 class Network;
 
+// Trailing window of the measured-bandwidth estimate
+// (Network::EstimateWanBandwidth) that the bandwidth-aware backend scores
+// with and the replanner's push->fetch fallback tests against.
+inline constexpr SimTime kBandwidthWindow = Seconds(10);
+
 class AggregatorPlacementPolicy {
  public:
   // Everything a backend may consult. `net` carries the bandwidth

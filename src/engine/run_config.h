@@ -1,30 +1,4 @@
 // Run configuration: scheme selection and engine knobs.
-//
-// Layout note (migration): failure and speculation knobs used to live flat
-// on RunConfig (`reduce_failure_prob`, `failure_point`, `speculation`,
-// `speculation_quantile`, `speculation_multiplier`). They are now grouped
-// into the nested FaultConfig / SpeculationConfig structs below —
-// `cfg.fault.reduce_failure_prob`, `cfg.speculation.enabled`, ... — and
-// FaultConfig additionally carries the FaultPlan of scheduled
-// infrastructure faults (see engine/fault_plan.h and docs/FAULTS.md).
-//
-// Observability followed the same move: tracing used to be switched on
-// through the GeoCluster::EnableTracing() side channel and read back via
-// cluster.trace()/last_job_metrics(). It is now configured up front on the
-// nested ObservabilityConfig — `cfg.observe.trace = true`,
-// `cfg.observe.metrics`, `cfg.observe.utilization_bucket` — and the
-// recorded data comes back on the RunResult every action returns
-// (result.trace, result.report; see engine/cluster.h and
-// docs/OBSERVABILITY.md). The EnableTracing()/last_job_metrics() shims
-// that briefly survived that move have since been removed.
-//
-// Transport knobs moved the same way: the push-retry knobs
-// (`fault.max_push_retries`, `fault.push_retry_backoff`,
-// `fault.push_backoff_factor`) now live on the nested TransportConfig —
-// `cfg.transport.max_push_retries`, ... — next to the shuffle-transport
-// selection and per-backend settings they belong with
-// (engine/transport/transport.h, docs/TRANSPORTS.md). No shims were left
-// behind.
 #pragma once
 
 #include <cstdint>
@@ -144,26 +118,6 @@ struct TransportConfig {
 struct AdaptiveConfig {
   bool enabled = false;
 
-  // Trailing window of the per-link bandwidth estimate: utilization
-  // buckets older than this are (exponentially) discounted. <= 0 falls
-  // back to the instantaneous link capacity (no measured component).
-  SimTime bandwidth_window = Seconds(10);
-
-  // A link counts as degraded — triggering the per-shard push->fetch
-  // fallback — when its estimated bandwidth drops below this fraction of
-  // its base rate. In [0, 1]; 0 never falls back.
-  double degrade_threshold = 0.1;
-
-  // Hysteresis of the replanner: a receiver shard only moves when the
-  // best alternative datacenter's estimated aggregation time beats the
-  // current one by at least this factor (>= 1; 1 = move on any
-  // improvement). Damps oscillation between near-equal datacenters.
-  double hysteresis = 1.5;
-
-  // Minimum spacing between replanner passes of one job; degradation
-  // events inside the window are absorbed by the next pass.
-  SimTime min_replan_interval = Seconds(1);
-
   // Forces every automatic transferTo into this datacenter and disables
   // replanning — the "offline oracle" backend used by bench_adaptive to
   // bound how much any online policy could win. kNoDc = disabled.
@@ -177,9 +131,10 @@ struct AdaptiveConfig {
 // partition executes in `redundancy_r` datacenters instead of one. The
 // replication overlap then lets the shuffle serve most shard segments from
 // a replica inside the consuming datacenter (zero WAN bytes) and deliver
-// XOR-coded groups of the rest as single multicast packets
-// (netsim::StartMulticastFlow, FlowKind::kCodedMulticast), with residual
-// uncoded segments falling back to plain unicast fetches. The WAN volume
+// XOR-coded groups (at most r segments each) of the rest as single
+// multicast packets (netsim::StartMulticastFlow,
+// FlowKind::kCodedMulticast), with residual uncoded segments falling back
+// to plain unicast fetches. The WAN volume
 // drops from ~(K-1)/K of the shuffle to ~(K-r)/K on K datacenters; the
 // price is (r-1)x the map compute, accounted per job
 // (JobMetrics::coded_replica_compute_seconds).
@@ -191,12 +146,6 @@ struct CodedConfig {
   // number of datacenters (r = 1 degenerates to no replication and no
   // coding gain, but stays a valid configuration).
   int redundancy_r = 2;
-
-  // Maximum shard segments XOR-ed into one coded packet; the effective
-  // group size is additionally capped by the decodability condition
-  // (every receiver must already hold the other r-1 segments). <= 0 means
-  // redundancy_r.
-  int max_group = 0;
 };
 
 // Speculative execution (spark.speculation, off by default as in Spark):
@@ -272,15 +221,6 @@ struct RunConfig {
   SpeculationConfig speculation;
   ServiceConfig service;
   ObservabilityConfig observe;
-
-  // Centralized: destination datacenter; kNoDc = the one already holding
-  // the most input bytes.
-  DcIndex central_dc = kNoDc;
-
-  // Reducer placement preference threshold: a node is preferred for a
-  // reduce task if it stores at least this fraction of the shard's input
-  // (Spark's REDUCER_PREF_LOCS_FRACTION).
-  double reducer_pref_fraction = 0.2;
 
   // Ablation knobs.
   AggregatorPolicy aggregator_policy = AggregatorPolicy::kLargestInput;

@@ -17,6 +17,13 @@ namespace {
 // against floating-point residue keeping a flow alive forever.
 constexpr double kByteEpsilon = 1e-6;
 
+// With a multi-worker solver pool attached and two or more components
+// dirty in one instant, components of at least this many flows are solved
+// on the pool; smaller ones run inline on the event thread meanwhile.
+// Results merge in dirty-collection order, so reports are byte-identical
+// to the sequential path for any thread count (docs/PERF.md §7).
+constexpr std::size_t kParallelMinComponentFlows = 128;
+
 // Starvation guard (satellite bugfix, docs/PERF.md): progressive filling
 // subtracts each frozen share from every resource the flow crosses, and
 // floating-point rounding can leave a live resource with remaining
@@ -895,7 +902,7 @@ void Network::SolveAndApply(SimTime now) {
     SolveScratch* scratch;
     void operator()() const { net->SolveComponent(comp, *scratch); }
   };
-  const bool pool_on = pool_ != nullptr && config_.parallel_solver && n >= 2 &&
+  const bool pool_on = pool_ != nullptr && n >= 2 &&
                        (config_.force_parallel_solver ||
                         pool_->num_threads() > 1);
   std::vector<SolveJob> jobs;
@@ -905,8 +912,7 @@ void Network::SolveAndApply(SimTime now) {
       const Component& comp =
           comps_[static_cast<std::size_t>(dirty_comps_[i])];
       if (config_.force_parallel_solver ||
-          comp.entries.size() >=
-              static_cast<std::size_t>(config_.parallel_min_component_flows)) {
+          comp.entries.size() >= kParallelMinComponentFlows) {
         jobs.push_back(SolveJob{this, dirty_comps_[i], scratch_[i].get()});
         offloaded.push_back(i);
       }

@@ -83,18 +83,11 @@ struct NetworkConfig {
   SimTime wan_stall_min = Seconds(2);
   SimTime wan_stall_max = Seconds(10);
 
-  // Parallel per-component rate solves (docs/PERF.md §7). When a solver
-  // pool is attached (SetSolverPool) and an instant dirties two or more
-  // components, component solves of at least parallel_min_component_flows
-  // flows are dispatched across the pool; smaller ones run inline on the
-  // event thread meanwhile. Results are merged in a fixed
-  // (dirty-collection) order, so reports are byte-identical to the
-  // sequential path for any thread count.
-  bool parallel_solver = true;
-  int parallel_min_component_flows = 128;
-  // Dispatch through the pool even when it has a single worker and
-  // regardless of component size (tests: exercise the parallel path and
-  // its determinism on any host).
+  // Parallel per-component rate solves (docs/PERF.md §7) run whenever a
+  // multi-worker solver pool is attached (SetSolverPool). This dispatches
+  // through the pool even when it has a single worker and regardless of
+  // component size (tests: exercise the parallel path and its determinism
+  // on any host).
   bool force_parallel_solver = false;
 };
 
@@ -156,7 +149,7 @@ class Network {
   // Attaches the pool used for parallel component solves (nullptr
   // detaches). The pool must outlive the network; solves submitted to it
   // are pure (scratch-only) jobs, so any pool shared with the data plane
-  // works. See NetworkConfig::parallel_solver.
+  // works. See NetworkConfig::force_parallel_solver.
   void SetSolverPool(ThreadPool* pool) { pool_ = pool; }
 
   // Starts a flow of `bytes` from node src to node dst. `on_complete` fires

@@ -195,16 +195,18 @@ TEST(ThreadPoolTest, SubmitBatchSingleWorkerPreservesOrder) {
   }
 }
 
-TEST(ThreadPoolTest, SubmitPreparedRunsPackagedTasks) {
+// Move-only jobs whose results the caller already holds futures for (the
+// engine's per-instant compute wave): the batch's own futures only signal
+// completion.
+TEST(ThreadPoolTest, SubmitBatchRunsPackagedTasks) {
   ThreadPool pool(2, ThreadPool::Width::kExact);
   std::vector<std::future<int>> futures;
-  std::vector<MoveFunction> jobs;
+  std::vector<std::packaged_task<int()>> jobs;
   for (int i = 0; i < 20; ++i) {
-    std::packaged_task<int()> task([i] { return i + 100; });
-    futures.push_back(task.get_future());
-    jobs.emplace_back([task = std::move(task)]() mutable { task(); });
+    jobs.emplace_back([i] { return i + 100; });
+    futures.push_back(jobs.back().get_future());
   }
-  pool.SubmitPrepared(std::move(jobs));
+  for (auto& done : pool.SubmitBatch(std::move(jobs))) done.get();
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i + 100);
   }

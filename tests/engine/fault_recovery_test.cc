@@ -219,6 +219,40 @@ TEST(ReceiverCrashTest, PushIsRetriedToAReplacementReceiver) {
       << "losing an aggregator-DC worker must trigger recovery";
 }
 
+// Double fault: the push source and the receiver node are both lost. The
+// producer's buffered output died with the source and the retained inbox
+// with the receiver, so recovery must recompute the producer, which
+// re-pushes. The source (a DC5 worker) dies first, then three of the four
+// aggregator-DC workers. Mid-map, receivers are still waiting for their
+// write-phase slot (receiver recovery); after the receiver stage, they are
+// done and their written blocks surface as fetch failures (re-run of a
+// completed receiver).
+TEST(ReceiverCrashTest, LosingPushSourceAndReceiverRecomputesTheProducer) {
+  const Scheme scheme = Scheme::kAggShuffle;
+  GeoCluster healthy(Ec2SixRegionTopology(100), DeterministicConfig(scheme));
+  RunResult healthy_run = RunCounts(healthy);
+  std::vector<SimTime> transfer_stage_ends;
+  for (const StageMetrics& s : healthy_run.metrics.stages) {
+    if (s.num_tasks == kMaps) transfer_stage_ends.push_back(s.completed);
+  }
+  ASSERT_EQ(transfer_stage_ends.size(), 2u);  // producers, then receivers
+
+  for (SimTime at : {MidMapCrashTime(scheme),
+                     transfer_stage_ends[1] + Millis(1)}) {
+    RunConfig cfg = DeterministicConfig(scheme);
+    cfg.fault.plan.node_crashes.push_back({at, kVictim, 0});
+    for (NodeIndex receiver_node : {0, 1, 2}) {
+      cfg.fault.plan.node_crashes.push_back(
+          {at + Millis(1), receiver_node, 0});
+    }
+    GeoCluster crashed(Ec2SixRegionTopology(100), cfg);
+    RunResult got = RunCounts(crashed);
+    EXPECT_EQ(got.records, healthy_run.records) << "crash at " << at;
+    EXPECT_EQ(got.metrics.node_crashes, 4);
+    EXPECT_GT(got.metrics.task_failures, 0);
+  }
+}
+
 // Losing shuffle blocks without a crash (disk loss): the owner is alive,
 // so only lazy fetch-failure detection can notice.
 TEST(BlockLossTest, LostShuffleBlocksAreRegenerated) {

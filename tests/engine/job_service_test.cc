@@ -204,6 +204,39 @@ TEST(JobServiceTest, CrashDuringOneTenantsJobDoesNotCorruptTheOther) {
   EXPECT_EQ(rb.metrics.node_crashes, 1);
 }
 
+// Concurrent jobs of the same shape share stage and partition numbers, and
+// one scheduler queue. When an aggregator-DC node dies under adaptive
+// placement, a receiver whose data landed there has its queued kNodeOnly
+// write-phase request unpinned so the orphaned entry drains. The scheduler
+// id must name that job's entry, not the other tenant's twin: unpinning
+// the twin sends the other job's receiver away from its landed data and
+// leaves the orphan pinned to the dead node for good.
+TEST(JobServiceTest, ReceiverRecoveryUnpinsOnlyItsOwnJobsRequest) {
+  RunConfig cfg = TestConfig();
+  cfg.adaptive.enabled = true;
+  cfg.fault.plan.node_crashes.push_back({/*at=*/0.6, /*node=*/3, 0});
+  GeoCluster cluster(Ec2SixRegionTopology(kScale), cfg);
+
+  const std::vector<std::string> tenants = {"alice", "bob"};
+  std::vector<JobHandle> handles;
+  for (const std::string& tenant : tenants) {
+    JobOptions opts;
+    opts.tenant = tenant;
+    handles.push_back(cluster.Parallelize(tenant, Input(tenant, 4000, 50), 4)
+                          .ReduceByKey(SumInt64(), 8)
+                          .Submit(ActionKind::kCollect, opts));
+  }
+  cluster.RunUntilQuiescent();
+
+  for (std::size_t j = 0; j < handles.size(); ++j) {
+    RunResult r = handles[j].Wait();
+    EXPECT_EQ(Sums(r.records), Sums(Input(tenants[j], 4000, 50)));
+    EXPECT_EQ(r.metrics.node_crashes, 1);
+  }
+  EXPECT_EQ(cluster.scheduler().queued_tasks(), 0)
+      << "an orphaned receiver request is still pinned to the dead node";
+}
+
 // A job handle's result can be taken exactly once.
 TEST(JobServiceTest, WaitTwiceIsFatal) {
   GeoCluster cluster(Ec2SixRegionTopology(kScale), TestConfig());
