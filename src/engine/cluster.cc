@@ -26,28 +26,15 @@ bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0; }
 // max-min solver and the cost report.
 void ValidateConfig(const RunConfig& cfg, const Topology& topo) {
   const TransportConfig& t = cfg.transport;
-  GS_CHECK_MSG(t.max_push_retries >= 0,
-               "transport.max_push_retries must be >= 0");
-  GS_CHECK_MSG(FiniteNonNegative(t.push_retry_backoff),
-               "transport.push_retry_backoff must be finite and >= 0");
-  GS_CHECK_MSG(std::isfinite(t.push_backoff_factor) &&
-                   t.push_backoff_factor > 0,
-               "transport.push_backoff_factor must be finite and > 0");
-
   const ObjectStoreConfig& os = t.object_store;
   GS_CHECK_MSG(os.dc == kNoDc ||
                    (os.dc >= 0 && os.dc < topo.num_datacenters()),
                "transport.object_store.dc out of range");
   GS_CHECK_MSG(std::isfinite(os.rate) && os.rate > 0,
                "transport.object_store.rate must be finite and > 0");
-  GS_CHECK_MSG(FiniteNonNegative(os.put_latency) &&
-                   FiniteNonNegative(os.get_latency),
-               "transport.object_store latencies must be finite and >= 0");
-  GS_CHECK_MSG(FiniteNonNegative(os.put_usd_per_gib) &&
-                   FiniteNonNegative(os.get_usd_per_gib) &&
-                   FiniteNonNegative(os.storage_usd_per_gib) &&
-                   FiniteNonNegative(os.transfer_usd_per_gib),
-               "transport.object_store prices must be finite and >= 0");
+  GS_CHECK_MSG(FiniteNonNegative(os.request_latency),
+               "transport.object_store.request_latency must be finite and "
+               ">= 0");
 
   GS_CHECK_MSG(std::isfinite(t.fabric.rate) && t.fabric.rate > 0,
                "transport.fabric.rate must be finite and > 0");
@@ -292,9 +279,7 @@ void GeoCluster::SetWanDegradation(DcIndex src, DcIndex dst, double factor,
 }
 
 RddPtr GeoCluster::MaybeRewrite(const RddPtr& final_rdd) {
-  if (config_.scheme != Scheme::kAggShuffle || !config_.auto_aggregation) {
-    return final_rdd;
-  }
+  if (config_.scheme != Scheme::kAggShuffle) return final_rdd;
   // A memo shared across actions keeps rewritten nodes (and thus cache
   // identities) stable from one job to the next.
   auto it = rewrite_memo_.find(final_rdd.get());
@@ -578,16 +563,9 @@ RunReport GeoCluster::BuildReport(const JobMetrics& job,
   // Bytes staged through an object store skip the egress tariff and are
   // billed by the store tariff instead; with no store flows the split is
   // exactly the old CostUsd (direct reports stay byte-identical).
-  ObjectStoreTariff tariff;
-  tariff.put_usd_per_gib = config_.transport.object_store.put_usd_per_gib;
-  tariff.get_usd_per_gib = config_.transport.object_store.get_usd_per_gib;
-  tariff.storage_usd_per_gib =
-      config_.transport.object_store.storage_usd_per_gib;
-  tariff.transfer_usd_per_gib =
-      config_.transport.object_store.transfer_usd_per_gib;
   report.egress_cost_usd = pricing.EgressCostUsd(network_->meter(), topo_);
-  report.store_cost_usd =
-      WanPricing::StoreCostUsd(network_->meter(), topo_, tariff);
+  report.store_cost_usd = WanPricing::StoreCostUsd(network_->meter(), topo_,
+                                                   ObjectStoreTariff{});
   report.cost_usd = report.egress_cost_usd + report.store_cost_usd;
   report.cost_usd_full_scale = report.cost_usd * config_.scale;
   if (config_.transport.kind != TransportKind::kDirect) {

@@ -27,6 +27,24 @@ constexpr double kEarlyPushFraction = 0.3;
 // A node is preferred for a reduce task if it stores at least this
 // fraction of the shard's input (Spark's REDUCER_PREF_LOCS_FRACTION).
 constexpr double kReducerPrefFraction = 0.2;
+// Fraction of a reduce task's compute after which an injected failure
+// strikes (the paper's Fig. 2 experiment).
+constexpr double kFailurePoint = 0.5;
+// Speculation (spark.speculation.quantile / .multiplier): backups start
+// once this fraction of a stage finished, for tasks running longer than
+// this multiple of the median duration.
+constexpr double kSpeculationQuantile = 0.75;
+constexpr double kSpeculationMultiplier = 1.5;
+
+// Transfer-push recovery: when a receiver's node dies, the push is retried
+// against a fresh node in the aggregator datacenter after an exponential
+// backoff (base * factor^(attempt-1)). Once the retries are exhausted the
+// transfer degrades to the producer's own node — a co-located no-op — and
+// downstream reducers fall back to fetching that partition over the WAN
+// (push -> fetch fallback).
+constexpr int kMaxPushRetries = 4;
+constexpr SimTime kPushRetryBackoff = Seconds(1);
+constexpr double kPushBackoffFactor = 2.0;
 
 // Adaptive replanning (docs/ADAPTIVE.md). A push path counts as collapsed,
 // and its shard falls back to fetch, below this fraction of the link's
@@ -643,7 +661,8 @@ void JobRunner::OnGatherDone(TaskRun& task) {
   // bench_coded's crossover (docs/CODED.md).
   if (config_.coded.enabled &&
       sr.stage.output == StageOutputKind::kShuffleWrite) {
-    metrics_.coded_replica_compute_seconds += (CodedR() - 1) * cpu;
+    metrics_.coded_replica_compute_seconds +=
+        (config_.coded.redundancy_r - 1) * cpu;
   }
 
   // Failure injection (Sec. V, Fig. 2): reduce tasks may fail partway
@@ -651,7 +670,7 @@ void JobRunner::OnGatherDone(TaskRun& task) {
   const bool may_fail = IsReducerStage(sr) && task.attempt == 0 &&
                         config_.fault.reduce_failure_prob > 0;
   if (may_fail && rng_.Bernoulli(config_.fault.reduce_failure_prob)) {
-    sim_.Schedule(cpu * config_.fault.failure_point,
+    sim_.Schedule(cpu * kFailurePoint,
                   OnThisAttempt(task, [this](TaskRun& t) { OnTaskFailed(t); }));
     return;
   }
@@ -830,13 +849,13 @@ void JobRunner::MaybeSpeculate(StageRun& sr) {
     return;
   }
   const int total = static_cast<int>(sr.tasks.size());
-  if (sr.tasks_done < config_.speculation.quantile * total) return;
+  if (sr.tasks_done < kSpeculationQuantile * total) return;
 
   std::vector<double> durations = sr.completed_durations;
   std::sort(durations.begin(), durations.end());
   const double median = durations[durations.size() / 2];
   const double threshold =
-      std::max(config_.speculation.multiplier * median, Millis(100));
+      std::max(kSpeculationMultiplier * median, Millis(100));
 
   for (auto& task : sr.tasks) {
     if (task->done || !task->assigned || task->has_backup ||
@@ -1045,14 +1064,12 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
     // the tenant's busy accounting (the slot itself died with the node).
     cluster_.scheduler().ReleaseSlot(receiver.node, tenant_);
     receiver.assigned = false;
-  } else if (receiver.data_landed && config_.adaptive.enabled) {
+  } else if (receiver.data_landed) {
     // The write-phase request is still queued, pinned kNodeOnly to the
     // crashed node — it would sit in the scheduler's queue until that
     // node restarts. The epoch bump above already orphaned it; lift the
     // pin so the next free slot anywhere drains the entry (the stale
-    // grant is released on delivery). Gated on adaptivity because the
-    // extra grant/release cycle perturbs assignment order, and
-    // non-adaptive runs must stay byte-identical to the seed goldens.
+    // grant is released on delivery).
     cluster_.scheduler().UpdatePreferences(SchedulerTaskId(receiver), {},
                                            PlacementPolicy::kAnyAfterWait);
   }
@@ -1070,7 +1087,7 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
     RecomputeProducer(receiver);
     return;
   }
-  if (receiver.push_retries >= config_.transport.max_push_retries) {
+  if (receiver.push_retries >= kMaxPushRetries) {
     // Retries exhausted: degrade the push to the producer's own node — a
     // co-located no-op write, after which downstream reducers *fetch* that
     // partition (push falls back to fetch).
@@ -1087,9 +1104,8 @@ void JobRunner::RecoverReceiver(TaskRun& receiver) {
   ++metrics_.push_retries;
   receiver.node = PickReceiverNode(consumer, kNoNode);
   const SimTime backoff =
-      config_.transport.push_retry_backoff *
-      std::pow(config_.transport.push_backoff_factor,
-               receiver.push_retries - 1);
+      kPushRetryBackoff *
+      std::pow(kPushBackoffFactor, receiver.push_retries - 1);
   GS_LOG_INFO << "push retry " << receiver.push_retries << " for stage "
               << consumer.stage.id << "/" << receiver.partition << " to "
               << topo_.node(receiver.node).name << " after " << backoff
@@ -1560,8 +1576,8 @@ std::vector<Bytes> JobRunner::StageInputPerDc(const StageRun& producer_sr) {
 // Coded shuffle (docs/CODED.md)
 // ---------------------------------------------------------------------------
 
-int JobRunner::CodedR() const {
-  return std::min(config_.coded.redundancy_r, topo_.num_datacenters());
+CodedRing JobRunner::coded_ring() const {
+  return {config_.coded.redundancy_r, topo_.num_datacenters()};
 }
 
 NodeIndex JobRunner::CodedNodeInDc(DcIndex dc, int salt) const {
@@ -1579,10 +1595,9 @@ void JobRunner::PutReplicaOutputs(ShuffleId sid, int map_partition,
                                   NodeIndex primary,
                                   const std::vector<RecordsPtr>& shard_records,
                                   const std::vector<Bytes>& shard_bytes) {
-  const int num_dcs = topo_.num_datacenters();
-  const DcIndex primary_dc = topo_.dc_of(primary);
-  for (int j = 1; j < CodedR(); ++j) {
-    const DcIndex dc = (primary_dc + j) % num_dcs;
+  const CodedRing ring = coded_ring();
+  for (int j = 1; j < ring.r; ++j) {
+    const DcIndex dc = ring.Replica(topo_.dc_of(primary), j);
     const NodeIndex mirror = CodedNodeInDc(dc, map_partition);
     if (mirror == kNoNode || !cluster_.scheduler().node_up(mirror)) continue;
     for (int k = 0; k < static_cast<int>(shard_records.size()); ++k) {
@@ -1599,117 +1614,31 @@ void JobRunner::StartCodedExchange(StageId id) {
   MapOutputTracker& tracker = cluster_.tracker();
   const int num_maps = tracker.num_map_partitions(sid);
   const int num_shards = tracker.num_shards(sid);
-  const int num_dcs = topo_.num_datacenters();
-  const int r = CodedR();
+  const CodedRing ring = coded_ring();
 
   sr.coded_pending = 1;  // guard, released once every transfer is launched
 
-  // Ring replica set of map m: the primary's datacenter plus the next r-1.
   std::vector<DcIndex> primary_dc(num_maps, kNoDc);
+  std::vector<std::vector<Bytes>> bytes(num_maps,
+                                        std::vector<Bytes>(num_shards, 0));
   for (int m = 0; m < num_maps; ++m) {
     const NodeIndex p = tracker.primary_node(sid, m);
     if (p != kNoNode) primary_dc[m] = topo_.dc_of(p);
+    for (int k = 0; k < num_shards; ++k) {
+      bytes[m][k] = tracker.Output(sid, m, k).bytes;
+    }
   }
-  auto holds = [&](int m, DcIndex d) {
-    if (primary_dc[m] == kNoDc) return false;
-    return ((d - primary_dc[m]) % num_dcs + num_dcs) % num_dcs < r;
-  };
-
-  struct Segment {
-    int m = 0;
-    int k = 0;
-    DcIndex home = 0;         // datacenter the shard consolidates into
-    NodeIndex dst = kNoNode;  // landing node inside `home`
-    Bytes bytes = 0;
-  };
-  std::vector<Segment> wan;  // segments with no replica in their home DC
+  const std::vector<DcIndex> home_of =
+      AssignCodedHomes(ring, primary_dc, bytes);
 
   std::vector<std::vector<NodeIndex>>& prefs = coded_prefs_[sid];
   prefs.assign(num_shards, {});
-
-  // Per-shard replica-inclusive shares: share[k][d] counts every segment
-  // of shard k with a ring replica in datacenter d (free for k there).
-  std::vector<std::vector<Bytes>> share(
-      num_shards, std::vector<Bytes>(num_dcs, 0));
-  for (int m = 0; m < num_maps; ++m) {
-    if (primary_dc[m] == kNoDc) continue;
-    for (int k = 0; k < num_shards; ++k) {
-      const Bytes b = tracker.Output(sid, m, k).bytes;
-      for (int j = 0; j < r; ++j) {
-        share[k][(primary_dc[m] + j) % num_dcs] += b;
-      }
-    }
-  }
-
-  // Home assignment: argmax of the share, so every byte replicated into
-  // the home stays off the WAN (on a point-to-point mesh the XOR multicast
-  // is byte-neutral, so locality is where the entire WAN saving comes
-  // from). One wrinkle: under a hash partitioner all shards see
-  // statistically identical per-DC distributions, so a pure argmax can
-  // collapse every home into one datacenter — and the XOR grouping below
-  // needs pairwise-distinct, ring-compatible homes to form any group. Two
-  // homes h, h' can anchor a group iff primaries p_a, p_b exist whose
-  // rings make the pair mutually decodable with a common serving DC.
-  auto pairable = [&](DcIndex h, DcIndex hp) {
-    if (h == hp) return true;  // trivially co-homed; never anchors a group
-    auto in_ring = [&](DcIndex d, DcIndex p) {
-      return ((d - p) % num_dcs + num_dcs) % num_dcs < r;
-    };
-    for (DcIndex pa = 0; pa < num_dcs; ++pa) {
-      if (!in_ring(hp, pa) || in_ring(h, pa)) continue;
-      for (DcIndex pb = 0; pb < num_dcs; ++pb) {
-        if (!in_ring(h, pb) || in_ring(hp, pb)) continue;
-        for (DcIndex c = 0; c < num_dcs; ++c) {
-          if (in_ring(c, pa) && in_ring(c, pb)) return true;
-        }
-      }
-    }
-    return false;
-  };
-  std::vector<DcIndex> home_of(num_shards, kNoDc);
-  for (int k = 0; k < num_shards; ++k) {
-    DcIndex home = 0;
-    for (DcIndex d = 1; d < num_dcs; ++d) {
-      if (share[k][d] > share[k][home]) home = d;
-    }
-    home_of[k] = home;
-  }
-  // If no two assigned homes can anchor a group, re-home the single shard
-  // with the smallest byte regret to the compatible datacenter closest to
-  // its argmax share — minimal diversification, bounded byte cost.
-  bool diverse = false;
-  for (int a = 0; a < num_shards && !diverse; ++a) {
-    for (int b = a + 1; b < num_shards && !diverse; ++b) {
-      diverse = home_of[a] != home_of[b] && pairable(home_of[a], home_of[b]);
-    }
-  }
-  if (!diverse && num_shards >= 2) {
-    int best_k = -1;
-    DcIndex best_d = kNoDc;
-    Bytes best_regret = 0;
-    for (int k = 0; k < num_shards; ++k) {
-      for (DcIndex d = 0; d < num_dcs; ++d) {
-        if (d == home_of[k]) continue;
-        bool anchors = false;
-        for (int o = 0; o < num_shards && !anchors; ++o) {
-          anchors = o != k && home_of[o] != d && pairable(home_of[o], d);
-        }
-        if (!anchors) continue;
-        const Bytes regret = share[k][home_of[k]] - share[k][d];
-        if (best_k < 0 || regret < best_regret) {
-          best_k = k;
-          best_d = d;
-          best_regret = regret;
-        }
-      }
-    }
-    if (best_k >= 0) home_of[best_k] = best_d;
-  }
-
+  std::vector<NodeIndex> landing(num_shards, kNoNode);
+  std::vector<CodedSegment> wan;  // segments with no replica in their home
   for (int k = 0; k < num_shards; ++k) {
     const DcIndex home = home_of[k];
-    const NodeIndex landing = CodedNodeInDc(home, k);
-    if (landing == kNoNode) continue;  // workerless datacenter
+    landing[k] = CodedNodeInDc(home, k);
+    if (landing[k] == kNoNode) continue;  // workerless datacenter
 
     // Reduce-side preference: the landing node first, then the other
     // workers of the home datacenter. SubmitTask pins coded reducers to
@@ -1717,9 +1646,9 @@ void JobRunner::StartCodedExchange(StageId id) {
     // must keep the consolidated shard read off the WAN — a busy landing
     // node spills to a neighbour in the same datacenter, never to a
     // remote one that would re-fetch the whole shard cross-DC.
-    prefs[k].push_back(landing);
+    prefs[k].push_back(landing[k]);
     for (NodeIndex n : WorkersIn(home, /*live_only=*/false)) {
-      if (n != landing) prefs[k].push_back(n);
+      if (n != landing[k]) prefs[k].push_back(n);
     }
 
     for (int m = 0; m < num_maps; ++m) {
@@ -1727,16 +1656,10 @@ void JobRunner::StartCodedExchange(StageId id) {
       if (out.node == kNoNode || primary_dc[m] == kNoDc) continue;
       if (out.bytes == 0) {
         // Nothing to move; land the (empty) block so gathers find it.
-        DeliverCodedSegment(sid, m, k, out.node, landing);
+        DeliverCodedSegment(sid, m, k, out.node, landing[k]);
         continue;
       }
-      Segment seg;
-      seg.m = m;
-      seg.k = k;
-      seg.home = home;
-      seg.dst = landing;
-      seg.bytes = out.bytes;
-      if (holds(m, home)) {
+      if (ring.Holds(primary_dc[m], home)) {
         // A replica already sits in the home datacenter: consolidate onto
         // the landing node with an intra-DC copy (NIC time, no WAN).
         const NodeIndex holder =
@@ -1744,137 +1667,90 @@ void JobRunner::StartCodedExchange(StageId id) {
         if (holder != kNoNode &&
             cluster_.blocks().Has(holder, BlockId::Shuffle(sid, m, k))) {
           metrics_.coded_local_bytes += out.bytes;
-          if (holder == landing) {
-            DeliverCodedSegment(sid, m, k, holder, landing);
-            continue;
+          if (holder == landing[k]) {
+            DeliverCodedSegment(sid, m, k, holder, landing[k]);
+          } else {
+            cluster_.network().StartFlow(
+                holder, landing[k], out.bytes, FlowKind::kOther,
+                CodedLanding(id, sid, m, k, holder, landing[k], 1));
           }
-          ++sr.coded_pending;
-          cluster_.network().StartFlow(
-              holder, landing, out.bytes, FlowKind::kOther,
-              [this, id, sid, seg, holder] {
-                DeliverCodedSegment(sid, seg.m, seg.k, holder, seg.dst);
-                CodedTransferDone(id);
-              });
           continue;
         }
         // The in-home replica vanished (mirror died): fall through to WAN.
       }
-      wan.push_back(seg);
+      wan.push_back({m, k, primary_dc[m], home, out.bytes});
     }
   }
 
-  // XOR groups (Coded MapReduce): up to r segments with pairwise
-  // distinct home datacenters, replicated together in some serving
-  // datacenter, where each receiver already holds every other member — so
-  // one multicast of the shortest member's length serves the whole group
-  // and each home XORs out its own segment. Longer members' uncoded tails
-  // go unicast. Greedy and deterministic over (shard, map) order.
-  int groups = 0;
-  std::vector<bool> used(wan.size(), false);
-  for (std::size_t i = 0; i < wan.size(); ++i) {
-    if (used[i]) continue;
-    std::vector<std::size_t> group = {i};
-    for (std::size_t j = i + 1;
-         j < wan.size() && static_cast<int>(group.size()) < r; ++j) {
-      if (used[j]) continue;
-      bool ok = true;
-      for (std::size_t g : group) {
-        if (wan[g].home == wan[j].home || !holds(wan[g].m, wan[j].home) ||
-            !holds(wan[j].m, wan[g].home)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      bool have_server = false;
-      for (DcIndex c = 0; c < num_dcs && !have_server; ++c) {
-        bool all = holds(wan[j].m, c);
-        for (std::size_t g : group) all = all && holds(wan[g].m, c);
-        have_server = all;
-      }
-      if (have_server) group.push_back(j);
-    }
-    for (std::size_t g : group) used[g] = true;
-
-    if (group.size() < 2) {
+  int multicasts = 0;
+  for (const CodedGroup& group : GroupCodedSegments(ring, wan)) {
+    if (group.members.size() == 1) {
       // Ungroupable: plain unicast of the whole segment from its primary.
-      const Segment& seg = wan[i];
+      const CodedSegment& seg = wan[group.members[0]];
       const NodeIndex primary = tracker.primary_node(sid, seg.m);
+      const NodeIndex dst = landing[seg.k];
       metrics_.coded_residual_bytes += seg.bytes;
-      AccountFlow(primary, seg.dst, seg.bytes, FlowKind::kShuffleFetch);
-      ++sr.coded_pending;
+      AccountFlow(primary, dst, seg.bytes, FlowKind::kShuffleFetch);
       cluster_.network().StartFlow(
-          primary, seg.dst, seg.bytes, FlowKind::kShuffleFetch,
-          [this, id, sid, seg, primary] {
-            DeliverCodedSegment(sid, seg.m, seg.k, primary, seg.dst);
-            CodedTransferDone(id);
-          });
+          primary, dst, seg.bytes, FlowKind::kShuffleFetch,
+          CodedLanding(id, sid, seg.m, seg.k, primary, dst, 1));
       continue;
     }
 
-    // Serving datacenter: the smallest index replicating every member; the
-    // coder node is the first member's holder there (intra-DC assembly of
-    // the other members' segments is not charged — see docs/CODED.md).
-    DcIndex serve = kNoDc;
-    for (DcIndex c = 0; c < num_dcs && serve == kNoDc; ++c) {
-      bool all = true;
-      for (std::size_t g : group) all = all && holds(wan[g].m, c);
-      if (all) serve = c;
-    }
-    GS_CHECK(serve != kNoDc);
-    const Segment& first = wan[group[0]];
-    const NodeIndex coder = serve == primary_dc[first.m]
+    // The coder is the first member's holder in the serving datacenter
+    // (intra-DC assembly of the other members' segments is not charged —
+    // see docs/CODED.md). A member lands once both its coded packet (the
+    // multicast completing) and its uncoded tail arrived.
+    const CodedSegment& first = wan[group.members[0]];
+    const NodeIndex coder = group.serve == first.primary
                                 ? tracker.primary_node(sid, first.m)
-                                : CodedNodeInDc(serve, first.m);
-    Bytes packet = first.bytes;
-    for (std::size_t g : group) packet = std::min(packet, wan[g].bytes);
-
-    ++groups;
+                                : CodedNodeInDc(group.serve, first.m);
+    ++multicasts;
     ++metrics_.coded_groups;
-    // A member's block lands once both its coded packet (the multicast
-    // completing) and its uncoded tail arrived.
-    struct PendingDelivery {
-      Segment seg;
-      NodeIndex holder = kNoNode;
-      int parts = 0;
-    };
-    auto pend = std::make_shared<std::vector<PendingDelivery>>();
     std::vector<NodeIndex> dsts;
-    for (std::size_t g : group) {
-      const Segment& seg = wan[g];
-      dsts.push_back(seg.dst);
-      AccountFlow(coder, seg.dst, packet, FlowKind::kCodedMulticast);
-      pend->push_back({seg, tracker.primary_node(sid, seg.m),
-                       seg.bytes > packet ? 2 : 1});
+    std::vector<std::function<void()>> lands;
+    for (int g : group.members) {
+      const CodedSegment& seg = wan[g];
+      dsts.push_back(landing[seg.k]);
+      AccountFlow(coder, landing[seg.k], group.packet,
+                  FlowKind::kCodedMulticast);
+      lands.push_back(CodedLanding(id, sid, seg.m, seg.k,
+                                   tracker.primary_node(sid, seg.m),
+                                   landing[seg.k],
+                                   seg.bytes > group.packet ? 2 : 1));
     }
-    sr.coded_pending += static_cast<int>(group.size());
-    auto part_done = [this, id, sid, pend](std::size_t idx) {
-      PendingDelivery& p = (*pend)[idx];
-      if (--p.parts > 0) return;
-      DeliverCodedSegment(sid, p.seg.m, p.seg.k, p.holder, p.seg.dst);
-      CodedTransferDone(id);
-    };
     cluster_.network().StartMulticastFlow(
-        coder, dsts, packet, FlowKind::kCodedMulticast,
-        [part_done, n = pend->size()] {
-          for (std::size_t x = 0; x < n; ++x) part_done(x);
+        coder, dsts, group.packet, FlowKind::kCodedMulticast, [lands] {
+          for (const std::function<void()>& land : lands) land();
         });
-    for (std::size_t idx = 0; idx < pend->size(); ++idx) {
-      const PendingDelivery& p = (*pend)[idx];
-      const Bytes tail = p.seg.bytes - packet;
+    for (std::size_t x = 0; x < group.members.size(); ++x) {
+      const CodedSegment& seg = wan[group.members[x]];
+      const Bytes tail = seg.bytes - group.packet;
       if (tail <= 0) continue;
+      const NodeIndex primary = tracker.primary_node(sid, seg.m);
       metrics_.coded_residual_bytes += tail;
-      AccountFlow(p.holder, p.seg.dst, tail, FlowKind::kShuffleFetch);
-      cluster_.network().StartFlow(p.holder, p.seg.dst, tail,
-                                   FlowKind::kShuffleFetch,
-                                   [part_done, idx] { part_done(idx); });
+      AccountFlow(primary, landing[seg.k], tail, FlowKind::kShuffleFetch);
+      cluster_.network().StartFlow(primary, landing[seg.k], tail,
+                                   FlowKind::kShuffleFetch, lands[x]);
     }
   }
 
   GS_LOG_INFO << "coded exchange: stage " << id << " shuffle " << sid << ": "
-              << groups << " multicast group(s), " << sr.coded_pending - 1
+              << multicasts << " multicast group(s), " << sr.coded_pending - 1
               << " transfer(s) in flight";
   CodedTransferDone(id);  // release the guard
+}
+
+std::function<void()> JobRunner::CodedLanding(StageId id, ShuffleId sid,
+                                              int m, int k, NodeIndex holder,
+                                              NodeIndex dst, int parts) {
+  ++stage_run(id).coded_pending;
+  auto left = std::make_shared<int>(parts);
+  return [this, id, sid, m, k, holder, dst, left] {
+    if (--*left > 0) return;
+    DeliverCodedSegment(sid, m, k, holder, dst);
+    CodedTransferDone(id);
+  };
 }
 
 void JobRunner::DeliverCodedSegment(ShuffleId sid, int m, int k,

@@ -16,6 +16,7 @@
 //    fetch-based shuffles wait for the stage barrier (Fig. 1a).
 #pragma once
 
+#include <functional>
 #include <future>
 #include <memory>
 #include <unordered_map>
@@ -24,6 +25,7 @@
 #include "common/rng.h"
 #include "dag/stage.h"
 #include "engine/cluster.h"
+#include "engine/coded_plan.h"
 #include "engine/placement_policy.h"
 #include "exec/task_compute.h"
 
@@ -248,8 +250,8 @@ class JobRunner {
   void ExecuteReceiver(TaskRun& receiver);  // slot acquired: run the chain
 
   // --- coded shuffle (docs/CODED.md) ---
-  // Effective replication degree: redundancy_r clamped to the DC count.
-  int CodedR() const;
+  // The replica ring of this run's coded config (engine/coded_plan.h).
+  CodedRing coded_ring() const;
   // Deterministic worker pick inside `dc` (salted round-robin, preferring
   // live nodes); kNoNode for a workerless datacenter. Chooses both the
   // mirror node holding map partition m's replica (salt = m) and the
@@ -263,11 +265,20 @@ class JobRunner {
                          const std::vector<RecordsPtr>& shard_records,
                          const std::vector<Bytes>& shard_bytes);
   // The shuffle exchange, run when a shuffle-write stage's last task
-  // finishes and before the stage is marked done: picks each shard's home
-  // datacenter, serves segments replicated there locally, XOR-multicasts
-  // decodable groups of the rest and unicasts the residue, re-pointing the
-  // tracker at the landing nodes so reducer gathers read locally.
+  // finishes and before the stage is marked done: executes the plan of
+  // engine/coded_plan.h (shard homes, XOR groups, residuals) against live
+  // state — landing and holder nodes, surviving replicas — serving
+  // segments replicated in their home locally, multicasting the groups and
+  // unicasting the residue, and re-points the tracker at the landing nodes
+  // so reducer gathers read locally.
   void StartCodedExchange(StageId id);
+  // Registers one pending exchange transfer of stage `id` and returns its
+  // completion: after `parts` calls (a multicast packet plus an uncoded
+  // tail make two) it lands segment (m, k) from `holder` onto `dst` and
+  // releases the transfer.
+  std::function<void()> CodedLanding(StageId id, ShuffleId sid, int m, int k,
+                                     NodeIndex holder, NodeIndex dst,
+                                     int parts);
   // Copies segment (m, k) from `holder` onto `dst` and re-points the
   // tracker; a vanished source copy is left for fetch-failure recovery.
   void DeliverCodedSegment(ShuffleId sid, int m, int k, NodeIndex holder,
@@ -275,8 +286,8 @@ class JobRunner {
   // One exchange transfer landed; completes the deferred stage when the
   // last one drains.
   void CodedTransferDone(StageId id);
-  // Extends a reduce shard's preference list with the exchange's r-way
-  // alternates (landing node first, then the largest replica holders).
+  // Extends a reduce shard's preference list with the exchange's
+  // alternates (landing node first, then the home datacenter's workers).
   void AppendCodedAlternates(ShuffleId sid, int shard,
                              std::vector<NodeIndex>* prefs) const;
   // Counts a cached partition whose every replica is dead or evicted at
@@ -338,9 +349,9 @@ class JobRunner {
   // wait on; resubmitted when that stage re-completes.
   std::unordered_map<StageId, std::vector<TaskRun*>> waiting_on_stage_;
 
-  // Per-shard r-way reducer preference lists built by the coded exchange:
-  // the landing node first, then the nodes holding the largest replica
-  // share of the shard (fallbacks if the landing node is lost or busy).
+  // Per-shard reducer preference lists built by the coded exchange: the
+  // landing node first, then the other workers of the shard's home
+  // datacenter (fallbacks if the landing node is lost or busy).
   std::unordered_map<ShuffleId, std::vector<std::vector<NodeIndex>>>
       coded_prefs_;
 

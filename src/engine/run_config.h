@@ -28,14 +28,12 @@ enum class AggregatorPolicy { kLargestInput, kRandom, kSmallestInput };
 
 const char* AggregatorPolicyName(AggregatorPolicy policy);
 
-// Fault injection knobs (the recovery response to a lost push lives on
-// TransportConfig).
+// Fault injection knobs.
 struct FaultConfig {
-  // Probability that a reduce task fails on its first attempt, and the
-  // fraction of its compute phase after which the failure strikes
-  // (the paper's Fig. 2 experiment).
+  // Probability that a reduce task fails on its first attempt (the paper's
+  // Fig. 2 experiment); the failure strikes halfway through its compute
+  // phase.
   double reduce_failure_prob = 0.0;
-  double failure_point = 0.5;
 
   // Scheduled/random infrastructure faults (node crashes, WAN link flaps,
   // block losses). Empty by default.
@@ -52,10 +50,10 @@ enum class TransportKind {
 
 const char* TransportKindName(TransportKind kind);
 
-// ObjectStoreTransport backend settings. Rates and prices describe the
-// full-scale system; GeoCluster divides the rate by RunConfig::scale like
-// every other capacity, so time and traffic ratios are preserved at bench
-// scales. Pricing fields mirror netsim/pricing.h::ObjectStoreTariff.
+// ObjectStoreTransport backend settings. The rate describes the full-scale
+// system; GeoCluster divides it by RunConfig::scale like every other
+// capacity, so time and traffic ratios are preserved at bench scales.
+// Staged bytes are billed at the default netsim/pricing.h::ObjectStoreTariff.
 struct ObjectStoreConfig {
   // Datacenter hosting the staging bucket. kNoDc (default) stages each
   // shard in its producer's own datacenter — PUTs stay local and only the
@@ -66,15 +64,8 @@ struct ObjectStoreConfig {
   // (full scale; shared max-min by that tier's PUT and GET flows).
   Rate rate = Gbps(4);
 
-  // Request round-trip added to a leg's connection setup.
-  SimTime put_latency = Millis(30);
-  SimTime get_latency = Millis(30);
-
-  // USD per GiB (see ObjectStoreTariff for semantics).
-  double put_usd_per_gib = 0.005;
-  double get_usd_per_gib = 0.0005;
-  double storage_usd_per_gib = 0.001;
-  double transfer_usd_per_gib = 0.05;
+  // Request round-trip added to each PUT and GET leg's connection setup.
+  SimTime request_latency = Millis(30);
 };
 
 // FabricTransport backend settings: an RDMA-class intra-DC interconnect.
@@ -89,20 +80,11 @@ struct FabricConfig {
   SimTime exchange_latency = Millis(2);
 };
 
-// Shuffle-transport selection, the per-backend settings, and the
-// transfer-recovery knobs that apply to whichever backend runs.
+// Shuffle-transport selection and the per-backend settings. Transfer-push
+// recovery (retry with backoff, then push -> fetch fallback) applies to
+// whichever backend runs; its constants live in engine/job_runner.cc.
 struct TransportConfig {
   TransportKind kind = TransportKind::kDirect;
-
-  // Transfer-push recovery: when a receiver's node dies, the push is
-  // retried against a fresh node in the aggregator datacenter after an
-  // exponential backoff (base * factor^(attempt-1)). Once max_push_retries
-  // is exhausted the transfer degrades to the producer's own node — a
-  // co-located no-op — and downstream reducers fall back to fetching that
-  // partition over the WAN (push -> fetch fallback).
-  int max_push_retries = 4;
-  SimTime push_retry_backoff = Seconds(1);
-  double push_backoff_factor = 2.0;
 
   ObjectStoreConfig object_store;
   FabricConfig fabric;
@@ -149,15 +131,13 @@ struct CodedConfig {
 };
 
 // Speculative execution (spark.speculation, off by default as in Spark):
-// once `quantile` of a stage's tasks finished, a running task slower than
-// `multiplier` x the median duration gets a backup copy; the first attempt
-// to finish wins. Interacts with the shuffle mechanism: a speculated
-// *reducer* re-fetches its input — over the WAN under fetch-based shuffle,
-// locally under Push/Aggregate.
+// once 75% of a stage's tasks finished, a running task slower than 1.5x
+// the median duration gets a backup copy (Spark's quantile and multiplier
+// defaults); the first attempt to finish wins. Interacts with the shuffle
+// mechanism: a speculated *reducer* re-fetches its input — over the WAN
+// under fetch-based shuffle, locally under Push/Aggregate.
 struct SpeculationConfig {
   bool enabled = false;
-  double quantile = 0.75;
-  double multiplier = 1.5;
 };
 
 // Multi-job service knobs (engine/job_api.h, docs/SERVICE.md).
@@ -208,11 +188,6 @@ struct RunConfig {
   NetworkConfig net;
   TaskSchedulerConfig sched;
   CostModel cost;  // already scaled by the caller (CostModel::Scaled)
-
-  // AggShuffle: insert transferTo() before every shuffle automatically
-  // (spark.shuffle.aggregation). When false, only explicit transferTo()
-  // calls in application code take effect.
-  bool auto_aggregation = true;
 
   TransportConfig transport;
   AdaptiveConfig adaptive;

@@ -49,7 +49,7 @@ void ObjectStoreTransport::Transfer(ShardTransfer t) {
   put.src_uplink = true;
   put.dst_downlink = false;  // the tier's service resource is the sink
   put.service_res = store_res_[store_dc];
-  put.extra_setup = config_.put_latency;
+  put.extra_setup = config_.request_latency;
   if (puts_ != nullptr) puts_->Add(1);
 
   // The GET only starts once the PUT has landed in the store — the
@@ -65,7 +65,7 @@ void ObjectStoreTransport::Transfer(ShardTransfer t) {
         get.src_uplink = false;  // served by the tier, not a worker NIC
         get.dst_downlink = true;
         get.service_res = store_res_[store_dc];
-        get.extra_setup = config_.get_latency;
+        get.extra_setup = config_.request_latency;
         if (gets_ != nullptr) gets_->Add(1);
         net_.StartFlow(get, std::move(cb));
       });

@@ -189,107 +189,12 @@ void Network::FreeSlot(std::int32_t slot) {
 
 FlowId Network::StartFlow(NodeIndex src, NodeIndex dst, Bytes bytes,
                           FlowKind kind, CompletionFn on_complete) {
-  GS_CHECK(src >= 0 && src < topo_.num_nodes());
-  GS_CHECK(dst >= 0 && dst < topo_.num_nodes());
-  GS_CHECK(bytes >= 0);
-  GS_CHECK(on_complete != nullptr);
-
-  const FlowId id = next_flow_id_++;
-  const DcIndex src_dc = topo_.dc_of(src);
-  const DcIndex dst_dc = topo_.dc_of(dst);
-
-  meter_.Record(src_dc, dst_dc, kind, bytes);
-  if (m_flows_started_ != nullptr) {
-    m_flows_started_->Add(1);
-    if (kind == FlowKind::kShuffleFetch) {
-      m_fetch_bytes_->Observe(static_cast<double>(bytes));
-    } else if (kind == FlowKind::kShufflePush) {
-      m_push_bytes_->Observe(static_cast<double>(bytes));
-    }
-  }
-
-  const std::int32_t slot = AllocSlot();
-  GS_CHECK(static_cast<std::size_t>(id) == id_to_slot_.size());
-  id_to_slot_.push_back(slot);
-  ++tracked_flows_;
-  Flow& f = slab_[static_cast<std::size_t>(slot)];
-  f.started = false;
-  f.nres = 0;
-  f.res[0] = f.res[1] = f.res[2] = -1;
-  f.contend_seq = -1;
-  f.rate = 0;
-  f.rate_cap = 0;
-  f.id = id;
-  f.src = src;
-  f.dst = dst;
-  f.kind = kind;
-  f.remaining = static_cast<double>(bytes);
-  f.total = bytes;
-  f.created_at = sim_.Now();
-  f.last_update = sim_.Now();
-  f.wan_link = -1;
-  f.attributed = 0;
-  f.on_complete = std::move(on_complete);
-
-  if (src == dst) {
-    // Loopback: consumes no network resources and completes after a fixed
-    // local latency, but it is metered (on the intra-DC diagonal), counted
-    // and tracked like any other flow so byte conservation and flow
-    // accounting hold, and CancelFlow on its id behaves normally. It never
-    // sets `started`, so rate sharing and progress advancement skip it.
-    f.completion_event = sim_.Schedule(Millis(0.1), [this, id] {
-      const std::int32_t s = SlotOf(id);
-      if (s < 0) return;  // cancelled before loopback latency
-      FinishFlow(s);
-      ScheduleDeferredReconfigure();
-    });
-    if (m_active_flows_ != nullptr) {
-      m_active_flows_->Set(tracked_flows_);
-    }
-    return id;
-  }
-
-  CatchUpJitter();
-  f.res[f.nres++] = static_cast<std::int32_t>(UplinkRes(src));
-  SimTime setup = topo_.rtt(src_dc, dst_dc) / 2;
-  if (src_dc != dst_dc) {
-    int link = topo_.wan_link_index(src_dc, dst_dc);
-    GS_CHECK_MSG(link >= 0, "no WAN link " << src_dc << "->" << dst_dc);
-    f.res[f.nres++] = static_cast<std::int32_t>(WanRes(link));
-    // Single-connection TCP ceiling and occasional stalls on WAN paths.
-    const WanLinkSpec& spec = topo_.wan_link(link);
-    double eff = jitter_rng_.Uniform(config_.wan_flow_efficiency_min, 1.0);
-    f.rate_cap = eff * spec.base_rate;
-    if (config_.wan_stall_prob > 0 &&
-        jitter_rng_.Bernoulli(config_.wan_stall_prob)) {
-      setup += jitter_rng_.Uniform(config_.wan_stall_min,
-                                   config_.wan_stall_max);
-      if (m_wan_stalls_ != nullptr) m_wan_stalls_->Add(1);
-    }
-    f.wan_link = link;
-  }
-  f.res[f.nres++] = static_cast<std::int32_t>(DownlinkRes(dst));
-  if (m_active_flows_ != nullptr) {
-    m_active_flows_->Set(tracked_flows_);
-  }
-
-  // Connection setup: the flow begins contending after one-way latency
-  // (plus any stall). Entering contention perturbs exactly the flow's own
-  // resources; the batched reconfigure re-shares those components once per
-  // instant, however many flows arrive together.
-  sim_.Schedule(setup, [this, id] {
-    const std::int32_t s = SlotOf(id);
-    if (s < 0) return;  // cancelled during setup
-    Flow& flow = slab_[static_cast<std::size_t>(s)];
-    flow.started = true;
-    flow.last_update = sim_.Now();
-    flow.contend_seq = next_contend_seq_++;
-    AddFlowToComponent(s);
-    MarkFlowResourcesDirty(flow);
-    ScheduleDeferredReconfigure();
-  });
-  MaintainJitterEvent();
-  return id;
+  FlowSpec spec;
+  spec.src = src;
+  spec.dst = dst;
+  spec.bytes = bytes;
+  spec.kind = kind;
+  return StartFlow(spec, std::move(on_complete));
 }
 
 int Network::AddServiceResource(Rate capacity) {
@@ -357,17 +262,37 @@ FlowId Network::StartFlow(const FlowSpec& spec, CompletionFn on_complete) {
   f.attributed = 0;
   f.on_complete = std::move(on_complete);
 
+  // A flow between a node and itself never touches its NICs.
+  const bool uplink = spec.src_uplink && spec.src != spec.dst;
+  const bool downlink = spec.dst_downlink && spec.src != spec.dst;
+  if (!uplink && !downlink && src_dc == dst_dc && spec.service_res < 0) {
+    // Loopback: no shared resource to contend for. It completes after a
+    // fixed local latency, but it is metered (on the intra-DC diagonal),
+    // counted and tracked like any other flow so byte conservation and
+    // flow accounting hold, and CancelFlow on its id behaves normally. It
+    // never sets `started`, so rate sharing and progress advancement skip
+    // it.
+    f.completion_event = sim_.Schedule(Millis(0.1), [this, id] {
+      const std::int32_t s = SlotOf(id);
+      if (s < 0) return;  // cancelled before loopback latency
+      FinishFlow(s);
+      ScheduleDeferredReconfigure();
+    });
+    if (m_active_flows_ != nullptr) {
+      m_active_flows_->Set(tracked_flows_);
+    }
+    return id;
+  }
+
   CatchUpJitter();
   SimTime setup = topo_.rtt(src_dc, dst_dc) / 2 + spec.extra_setup;
-  if (spec.src_uplink && spec.src != spec.dst) {
-    f.res[f.nres++] = static_cast<std::int32_t>(UplinkRes(spec.src));
-  }
+  if (uplink) f.res[f.nres++] = static_cast<std::int32_t>(UplinkRes(spec.src));
   if (src_dc != dst_dc) {
     int link = topo_.wan_link_index(src_dc, dst_dc);
     GS_CHECK_MSG(link >= 0, "no WAN link " << src_dc << "->" << dst_dc);
     f.res[f.nres++] = static_cast<std::int32_t>(WanRes(link));
-    // Same single-connection TCP ceiling and stall model as the plain
-    // overload; an explicit spec cap composes as the tighter of the two.
+    // Single-connection TCP ceiling and occasional stalls on WAN paths; an
+    // explicit spec cap composes as the tighter of the two.
     const WanLinkSpec& lspec = topo_.wan_link(link);
     double eff = jitter_rng_.Uniform(config_.wan_flow_efficiency_min, 1.0);
     const Rate tcp_cap = eff * lspec.base_rate;
@@ -380,7 +305,7 @@ FlowId Network::StartFlow(const FlowSpec& spec, CompletionFn on_complete) {
     }
     f.wan_link = link;
   }
-  if (spec.dst_downlink && spec.src != spec.dst) {
+  if (downlink) {
     f.res[f.nres++] = static_cast<std::int32_t>(DownlinkRes(spec.dst));
   }
   if (spec.service_res >= 0) {
@@ -391,18 +316,10 @@ FlowId Network::StartFlow(const FlowSpec& spec, CompletionFn on_complete) {
     m_active_flows_->Set(tracked_flows_);
   }
 
-  if (f.nres == 0) {
-    // No shared resource to contend for: complete after loopback latency,
-    // exactly like the plain overload's src == dst path.
-    f.completion_event = sim_.Schedule(Millis(0.1), [this, id] {
-      const std::int32_t s = SlotOf(id);
-      if (s < 0) return;  // cancelled before loopback latency
-      FinishFlow(s);
-      ScheduleDeferredReconfigure();
-    });
-    return id;
-  }
-
+  // Connection setup: the flow begins contending after one-way latency
+  // (plus any stall and extra setup). Entering contention perturbs exactly
+  // the flow's own resources; the batched reconfigure re-shares those
+  // components once per instant, however many flows arrive together.
   sim_.Schedule(setup, [this, id] {
     const std::int32_t s = SlotOf(id);
     if (s < 0) return;  // cancelled during setup

@@ -157,7 +157,8 @@ class Network {
   // node and itself completes after loopback latency without consuming
   // network bandwidth; it is still metered (intra-DC diagonal), counted in
   // the flow metrics, and cancellable like any other flow. Returns an id
-  // usable with CancelFlow.
+  // usable with CancelFlow. Shorthand for the FlowSpec overload with every
+  // other field at its default.
   FlowId StartFlow(NodeIndex src, NodeIndex dst, Bytes bytes, FlowKind kind,
                    CompletionFn on_complete);
 
@@ -188,8 +189,8 @@ class Network {
   };
 
   // Starts a flow described by `spec`. A spec composing zero resources
-  // (src == dst with both NICs skipped and no service resource) completes
-  // after loopback latency like the plain overload. At most three
+  // (src == dst, or both NICs skipped inside one datacenter, with no
+  // service resource) completes after loopback latency. At most three
   // resources may compose (solver invariant); a spec that would exceed
   // that is a programming error.
   FlowId StartFlow(const FlowSpec& spec, CompletionFn on_complete);

@@ -16,6 +16,7 @@
 #include "data/combiner.h"
 #include "data/record.h"
 #include "engine/cluster.h"
+#include "engine/coded_plan.h"
 #include "engine/dataset.h"
 #include "simcheck/simcheck.h"
 #include "workloads/input_gen.h"
@@ -340,7 +341,7 @@ SchemeRun RunOne(const SimcheckConfig& cfg, Scheme scheme, int threads,
         // redundancy r a segment is free for shard k in every datacenter
         // of its ring, so D >= sum_k (s_k - max_j b~_jk) over the
         // replica-inclusive matrix b~ (docs/CODED.md).
-        const int r = std::min(cfg.coded, dcs);
+        const CodedRing ring{rc.coded.redundancy_r, dcs};
         std::vector<Bytes> prim(static_cast<std::size_t>(dcs) * shards, 0);
         std::vector<Bytes> rep(static_cast<std::size_t>(dcs) * shards, 0);
         for (int m = 0; m < maps; ++m) {
@@ -350,8 +351,8 @@ SchemeRun RunOne(const SimcheckConfig& cfg, Scheme scheme, int threads,
           for (int k = 0; k < shards; ++k) {
             const Bytes bytes = tracker.Output(0, m, k).bytes;
             prim[static_cast<std::size_t>(pdc) * shards + k] += bytes;
-            for (int j = 0; j < r; ++j) {
-              const DcIndex d = (pdc + j) % dcs;
+            for (int j = 0; j < ring.r; ++j) {
+              const DcIndex d = ring.Replica(pdc, j);
               rep[static_cast<std::size_t>(d) * shards + k] += bytes;
             }
           }

@@ -217,6 +217,10 @@ TEST(ReceiverCrashTest, PushIsRetriedToAReplacementReceiver) {
   const JobMetrics& m = got.metrics;
   EXPECT_GT(m.push_retries + m.push_fallbacks + m.map_resubmissions, 0)
       << "losing an aggregator-DC worker must trigger recovery";
+  // A receiver whose data landed but whose write slot was not yet granted
+  // must not leave its request pinned to the dead node.
+  EXPECT_EQ(crashed.scheduler().queued_tasks(), 0)
+      << "a recovered receiver's write request is still queued";
 }
 
 // Double fault: the push source and the receiver node are both lost. The
