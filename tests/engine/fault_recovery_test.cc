@@ -257,6 +257,31 @@ TEST(ReceiverCrashTest, LosingPushSourceAndReceiverRecomputesTheProducer) {
   }
 }
 
+// Retries exhausted: the aggregator-DC workers crash in turn, each
+// restarting shortly after, so some receiver is re-placed onto the next
+// victim more than kMaxPushRetries times. Its push then degrades to the
+// producer's own node and the reducers fetch that partition instead; the
+// job's records must not change. (The plan was found by sweeping crash
+// start, spacing and restart delay.)
+TEST(ReceiverCrashTest, ExhaustedPushRetriesFallBackToFetch) {
+  const Scheme scheme = Scheme::kAggShuffle;
+  GeoCluster healthy(Ec2SixRegionTopology(100), DeterministicConfig(scheme));
+  auto expected = RunCounts(healthy).records;
+
+  RunConfig cfg = DeterministicConfig(scheme);
+  for (int i = 0; i < 5; ++i) {
+    cfg.fault.plan.node_crashes.push_back(
+        {0.3 + 0.5 * i, /*node=*/i % 4, /*restart_after=*/0.1});  // DC0
+  }
+  GeoCluster crashed(Ec2SixRegionTopology(100), cfg);
+  RunResult got = RunCounts(crashed);
+  EXPECT_EQ(got.records, expected);
+  EXPECT_EQ(got.metrics.node_crashes, 5);
+  EXPECT_GT(got.metrics.push_fallbacks, 0)
+      << "no receiver exhausted its push retries";
+  EXPECT_EQ(crashed.scheduler().queued_tasks(), 0);
+}
+
 // Losing shuffle blocks without a crash (disk loss): the owner is alive,
 // so only lazy fetch-failure detection can notice.
 TEST(BlockLossTest, LostShuffleBlocksAreRegenerated) {
