@@ -81,7 +81,7 @@ void WriteWallMeasurementsJson(const std::string& path,
                                const std::vector<WallMeasurement>& ms) {
   std::ofstream out(path);
   GS_CHECK_MSG(out.good(), "cannot write " << path);
-  out << "[\n";
+  out << "{\"host\": " << HostMetadataJson() << ",\n\"rows\": [\n";
   for (std::size_t i = 0; i < ms.size(); ++i) {
     const WallMeasurement& m = ms[i];
     out << "  {\"name\": \"" << m.name << "\", \"threads\": " << m.threads
@@ -89,7 +89,7 @@ void WriteWallMeasurementsJson(const std::string& path,
         << std::setprecision(6) << std::fixed << m.seconds << "}"
         << (i + 1 < ms.size() ? "," : "") << "\n";
   }
-  out << "]\n";
+  out << "]}\n";
 }
 
 std::string HostMetadataJson() {

@@ -55,7 +55,8 @@ struct WallMeasurement {
   double seconds = 0; // total elapsed wall time
 };
 
-// Writes measurements as a JSON array of objects to `path` (overwrites).
+// Writes measurements to `path` (overwrites) as {"host": HostMetadataJson(),
+// "rows": [{"name", "threads", "iters", "seconds"}, ...]}.
 void WriteWallMeasurementsJson(const std::string& path,
                                const std::vector<WallMeasurement>& ms);
 

@@ -45,6 +45,7 @@ double Rng::Uniform(double lo, double hi) {
 }
 
 double Rng::Normal(double mean, double stddev) {
+  GS_CHECK(stddev > 0);
   std::normal_distribution<double> d(mean, stddev);
   return d(engine_);
 }

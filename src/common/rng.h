@@ -28,6 +28,8 @@ class Rng {
   // Uniform real in [lo, hi).
   double Uniform(double lo, double hi);
 
+  // Normally distributed; `stddev` must be > 0 (scale a unit draw for a
+  // spread that may be zero).
   double Normal(double mean, double stddev);
 
   // Exponentially distributed with the given mean.

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <set>
 
+#include "common/check.h"
+
 namespace gs {
 namespace {
 
@@ -98,6 +100,14 @@ TEST(RngTest, NormalMoments) {
   double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.1);
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
+}
+
+// std::normal_distribution requires stddev > 0; a zero spread must fail
+// loudly rather than reach the library's precondition.
+TEST(RngTest, NormalRejectsNonPositiveStddev) {
+  Rng rng(10);
+  EXPECT_THROW(rng.Normal(0.0, 0.0), CheckFailure);
+  EXPECT_THROW(rng.Normal(0.0, -1.0), CheckFailure);
 }
 
 TEST(RngTest, ExponentialMean) {
