@@ -4,8 +4,8 @@
 // datacenters hold a map partition's replicas, which datacenter each reduce
 // shard consolidates into, and which cross-datacenter segments share one
 // XOR multicast. Nothing here reads the simulator, the map-output tracker
-// or the block manager; JobRunner::StartCodedExchange executes the plan
-// against live cluster state (node liveness, surviving replicas).
+// or the block manager; CodedExchange (engine/coded_exchange.h) executes
+// the plan against live cluster state (node liveness, surviving replicas).
 #pragma once
 
 #include <vector>

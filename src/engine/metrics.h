@@ -55,7 +55,7 @@ struct JobMetrics {
   int receivers_moved = 0;     // receiver shards re-placed mid-job
   int adaptive_fallbacks = 0;  // shards degraded push->fetch by bandwidth
 
-  // Cached-input placement misses (engine/job_runner.cc StageInputPerDc):
+  // Cached-input placement misses (PushPairing::StageInputPerDc):
   // partitions whose every replica is dead or evicted at planning time, so
   // their bytes drop out of the aggregator-choice input weights. Nonzero
   // values mean Eq. 2 planned against an undercount.

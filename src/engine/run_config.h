@@ -82,7 +82,7 @@ struct FabricConfig {
 
 // Shuffle-transport selection and the per-backend settings. Transfer-push
 // recovery (retry with backoff, then push -> fetch fallback) applies to
-// whichever backend runs; its constants live in engine/job_runner.cc.
+// whichever backend runs; its constants live in engine/push_pairing.cc.
 struct TransportConfig {
   TransportKind kind = TransportKind::kDirect;
 

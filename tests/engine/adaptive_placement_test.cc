@@ -1,4 +1,4 @@
-// Aggregator choice over cached inputs (ChooseAggregatorDcs /
+// Aggregator choice over cached inputs (PushPairing::PairStage /
 // StageInputPerDc): the chooser must weigh a cached partition in the
 // datacenter of the replica the stage will actually read — the nearest
 // *live* one — not blindly in the first registered location's datacenter.
