@@ -4,7 +4,8 @@
 // measures *real elapsed* time of the compute primitives the engine runs
 // per task — evaluate, combine, single-pass shuffle partitioning, shard
 // sort, size accounting — on Table-I-sized batches, plus the map-phase
-// pipeline through the compute ThreadPool at 1/2/4/8 threads.
+// pipeline through the compute ThreadPool at 1/2/4/8 threads and the
+// input synthesis of TeraSort and WordCount (Workload::Build) at 1 and 4.
 //
 // The threads sweep shows how task compute scales with pool width (on a
 // single-core host all widths collapse to ~1x, by design).
@@ -31,6 +32,7 @@
 #include "exec/task_compute.h"
 #include "harness.h"
 #include "rdd/rdd.h"
+#include "workloads/hibench.h"
 
 namespace {
 
@@ -245,6 +247,38 @@ int main() {
       }
     }
     ms.push_back(WallMeasurement{"map-pipeline", threads, kMaps, best});
+  }
+
+  // --- input synthesis at 1 and 4 threads ------------------------------
+  // Workload::Build — generating and placing the input, the setup a run
+  // pays before its first simulated event (docs/PERF.md §10). TeraSort
+  // builds its records on the compute pool; WordCount's synthesis is
+  // serial. Build alone is timed, each time on a fresh cluster; the row
+  // is the min of 5 runs per width, the widths alternating so that host
+  // speed drift hits both alike (the TeraSort rows feed a CI gate).
+  for (const char* workload : {"terasort", "wordcount"}) {
+    constexpr int kWidths[] = {1, 4};
+    double best[2] = {0, 0};
+    for (int rep = 0; rep < 5; ++rep) {
+      for (int w = 0; w < 2; ++w) {
+        bench::HarnessConfig h;
+        h.scale = scale;
+        RunConfig cfg = bench::MakeRunConfig(h, Scheme::kSpark, 1);
+        cfg.compute_threads = kWidths[w];
+        GeoCluster cluster(bench::MakeTopology(h), cfg);
+        WorkloadParams params;
+        params.scale = scale;
+        auto wl = MakeWorkload(workload, params);
+        const double start = WallSeconds();
+        Dataset built = wl->Build(cluster, /*data_seed=*/1);
+        const double elapsed = WallSeconds() - start;
+        if (rep == 0 || elapsed < best[w]) best[w] = elapsed;
+      }
+    }
+    for (int w = 0; w < 2; ++w) {
+      ms.push_back(WallMeasurement{std::string("synth-") + workload,
+                                   kWidths[w], 1, best[w]});
+    }
   }
 
   TextTable table({"measurement", "threads", "iters", "wall ms",

@@ -19,7 +19,45 @@ std::uint64_t HashTag(std::string_view tag) {
   return h;
 }
 
+// std::mt19937_64's parameters besides n = kStateWords: the middle word
+// m, the upper/lower split at bit r = 31, and the twist matrix a.
+constexpr std::size_t kMiddle = 156;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kTwist = 0xb5026f5aa96619e9ull;
+
+// One twist step: the upper bit of `hi` joined with the lower bits of
+// `lo`, shifted and conditionally XORed with the twist matrix without a
+// branch, then XORed into `far` (the word m positions ahead).
+inline std::uint64_t Twist(std::uint64_t hi, std::uint64_t lo,
+                           std::uint64_t far) {
+  const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+  return far ^ (y >> 1) ^ (-(y & 1) & kTwist);
+}
+
 }  // namespace
+
+Mt64::Mt64(result_type seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateWords; ++i) {
+    const result_type prev = state_[i - 1];
+    state_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+  }
+  next_ = kStateWords;
+}
+
+void Mt64::Regenerate() {
+  constexpr std::size_t n = kStateWords;
+  std::size_t k = 0;
+  for (; k < n - kMiddle; ++k) {
+    state_[k] = Twist(state_[k], state_[k + 1], state_[k + kMiddle]);
+  }
+  for (; k < n - 1; ++k) {
+    state_[k] = Twist(state_[k], state_[k + 1], state_[k + kMiddle - n]);
+  }
+  state_[n - 1] = Twist(state_[n - 1], state_[0], state_[kMiddle - 1]);
+  next_ = 0;
+}
 
 Rng Rng::Split(std::string_view tag) { return Split(HashTag(tag)); }
 
@@ -31,12 +69,6 @@ Rng Rng::Split(std::uint64_t salt) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z = z ^ (z >> 31);
   return Rng(z);
-}
-
-std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
-  GS_CHECK(lo <= hi);
-  std::uniform_int_distribution<std::int64_t> d(lo, hi);
-  return d(engine_);
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -72,13 +104,24 @@ ZipfSampler::ZipfSampler(std::size_t n, double exponent) {
     cdf_[i] = sum;
   }
   for (double& v : cdf_) v /= sum;
+  guide_.resize(n);
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double edge = static_cast<double>(j) / static_cast<double>(n);
+    while (i + 1 < n && cdf_[i] < edge) ++i;
+    guide_[j] = i;
+  }
 }
 
-std::size_t ZipfSampler::Sample(Rng& rng) const {
-  double u = rng.Uniform(0.0, 1.0);
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<std::size_t>(it - cdf_.begin());
+std::size_t ZipfSampler::IndexOf(double u) const {
+  const std::size_t n = cdf_.size();
+  // floor(u*n) may round up past u's bucket, so the walk goes both ways:
+  // back while the previous entry is still >= u, then forward while the
+  // current one is < u — exactly lower_bound's first entry >= u.
+  std::size_t i = guide_[std::min(static_cast<std::size_t>(u * n), n - 1)];
+  while (i > 0 && cdf_[i - 1] >= u) --i;
+  while (i < n && cdf_[i] < u) ++i;
+  return i == n ? n - 1 : i;
 }
 
 }  // namespace gs

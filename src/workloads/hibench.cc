@@ -165,13 +165,15 @@ class TeraSort final : public Workload {
     Rng rng = Rng(data_seed).Split("terasort");
     // gensort-style records: high-entropy keys and values that barely
     // compress — combined with the bloating map below, the shuffle input
-    // exceeds the raw input, the paper's TeraSort anomaly.
-    std::vector<Record> records = MakeKeyValueRecords(
-        NumRecords(), 90, rng, kPrintableAlphabet, nullptr);
+    // exceeds the raw input, the paper's TeraSort anomaly. The draws stay
+    // serial and the records are built on the compute pool, so the input
+    // does not depend on the pool's width.
     Dataset input = cluster.CreateSource(
         "terasort-input",
         PlacePartitions(cluster.topology(),
-                        Chunk(std::move(records), params().map_partitions),
+                        MakeKeyValueRecordParts(
+                            NumRecords(), 90, rng, kPrintableAlphabet,
+                            params().map_partitions, cluster.compute_pool()),
                         Weights(cluster.topology())));
 
     Dataset staged = input;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "engine/cluster.h"
 #include "rdd/rdd.h"
 
@@ -50,6 +51,14 @@ std::vector<Record> MakeKeyValueRecords(std::size_t count, int value_len,
                                         Rng& rng,
                                         const char* key_alphabet,
                                         const std::vector<std::string>* vocab);
+
+// MakeKeyValueRecords(count, value_len, rng, key_alphabet, nullptr) split
+// into `parts` chunks of ceil(count / parts) records, the last ones short
+// or empty: the same draws and records. One serial pass draws the
+// characters; tasks on `pool` build each chunk's records.
+std::vector<std::vector<Record>> MakeKeyValueRecordParts(
+    std::size_t count, int value_len, Rng& rng, const char* key_alphabet,
+    int parts, ThreadPool& pool);
 
 // Evenly spaced two-character boundaries over `alphabet` for `num_shards`
 // range partitions of 10-char uniform keys.

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <random>
 #include <set>
+#include <string_view>
 
 #include "common/check.h"
 
@@ -126,6 +130,152 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_TRUE(std::is_permutation(v.begin(), v.end(), sorted.begin()));
 }
 
+// --- Stream identity with std::mt19937_64 --------------------------------
+//
+// Every golden RunReport and input was produced by Rng over
+// std::mt19937_64. Mt64 must emit the same words and be consumed the same
+// way by the std distributions, so every stream below is compared with one
+// driven by std::mt19937_64.
+
+constexpr std::uint64_t kStreamSeeds[] = {0, 1, 42,
+                                          (std::uint64_t{1} << 63) + 5};
+constexpr int kStreamDraws = 4 * 312 + 7;  // four blocks and a partial one
+
+// Rng as it was over std::mt19937_64: the oracle for Rng's own streams.
+class StdRng {
+ public:
+  explicit StdRng(std::uint64_t seed) : engine_(seed) {}
+
+  StdRng Split(std::string_view tag) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : tag) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+    return Split(h);
+  }
+  StdRng Split(std::uint64_t salt) {
+    std::uint64_t z = engine_() ^ (salt + 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return StdRng(z ^ (z >> 31));
+  }
+  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  }
+  double Uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  double Normal(double mean, double stddev) {
+    return std::normal_distribution<double>(mean, stddev)(engine_);
+  }
+  double Exponential(double mean) {
+    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+  }
+  bool Bernoulli(double p) {
+    return std::bernoulli_distribution(p)(engine_);
+  }
+  template <typename T>
+  void Shuffle(std::vector<T>& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[static_cast<std::size_t>(UniformInt(0, i - 1))]);
+    }
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+TEST(Mt64Test, MatchesStdMt19937_64Words) {
+  static_assert(Mt64::min() == std::mt19937_64::min());
+  static_assert(Mt64::max() == std::mt19937_64::max());
+  for (std::uint64_t seed : kStreamSeeds) {
+    Mt64 ours(seed);
+    std::mt19937_64 theirs(seed);
+    for (int i = 0; i < kStreamDraws; ++i) {
+      ASSERT_EQ(ours(), theirs()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// Runs copies of one std distribution over Mt64 and std::mt19937_64.
+template <typename Dist>
+void ExpectSameDraws(const Dist& dist, const char* what) {
+  for (std::uint64_t seed : kStreamSeeds) {
+    Mt64 ours(seed);
+    std::mt19937_64 theirs(seed);
+    Dist a = dist, b = dist;
+    for (int i = 0; i < kStreamDraws; ++i) {
+      ASSERT_EQ(a(ours), b(theirs))
+          << what << ", seed " << seed << ", draw " << i;
+    }
+    // Same number of engine words consumed.
+    ASSERT_EQ(ours(), theirs()) << what << ", seed " << seed;
+  }
+}
+
+TEST(Mt64Test, StdDistributionsDrawTheSameStreams) {
+  for (std::int64_t range : {std::int64_t{1}, std::int64_t{2},
+                             std::int64_t{16}, std::int64_t{64},
+                             std::int64_t{95}, std::int64_t{1000},
+                             (std::int64_t{1} << 40) + 3}) {
+    ExpectSameDraws(std::uniform_int_distribution<std::int64_t>(0, range - 1),
+                    "uniform_int");
+  }
+  ExpectSameDraws(std::uniform_int_distribution<std::int64_t>(
+                      std::numeric_limits<std::int64_t>::min(),
+                      std::numeric_limits<std::int64_t>::max()),
+                  "uniform_int full range");
+  ExpectSameDraws(std::uniform_real_distribution<double>(0.0, 1.0),
+                  "uniform_real");
+  ExpectSameDraws(std::normal_distribution<double>(5.0, 2.0), "normal");
+  ExpectSameDraws(std::exponential_distribution<double>(1.0 / 3.0),
+                  "exponential");
+  ExpectSameDraws(std::bernoulli_distribution(0.3), "bernoulli");
+}
+
+TEST(Mt64Test, RngStreamsMatchTheStdEngineRng) {
+  for (std::uint64_t seed : kStreamSeeds) {
+    Rng ours(seed);
+    StdRng theirs(seed);
+    for (int i = 0; i < kStreamDraws; ++i) {
+      ASSERT_EQ(ours.UniformInt(0, 63), theirs.UniformInt(0, 63));
+      ASSERT_EQ(ours.UniformInt(-7, (std::int64_t{1} << 40) + 2),
+                theirs.UniformInt(-7, (std::int64_t{1} << 40) + 2));
+      ASSERT_EQ(ours.Uniform(0.0, 1.0), theirs.Uniform(0.0, 1.0));
+      ASSERT_EQ(ours.Normal(1.0, 0.5), theirs.Normal(1.0, 0.5));
+      ASSERT_EQ(ours.Exponential(3.0), theirs.Exponential(3.0));
+      ASSERT_EQ(ours.Bernoulli(0.3), theirs.Bernoulli(0.3));
+    }
+    std::vector<int> a(1000), b(1000);
+    std::iota(a.begin(), a.end(), 0);
+    std::iota(b.begin(), b.end(), 0);
+    ours.Shuffle(a);
+    theirs.Shuffle(b);
+    EXPECT_EQ(a, b) << "seed " << seed;
+  }
+}
+
+TEST(Mt64Test, SplitChildrenMatchTheStdEngineRng) {
+  for (std::uint64_t seed : kStreamSeeds) {
+    Rng ours(seed);
+    StdRng theirs(seed);
+    Rng by_tag = ours.Split("terasort");
+    StdRng by_tag_ref = theirs.Split("terasort");
+    Rng by_salt = ours.Split(std::uint64_t{17});
+    StdRng by_salt_ref = theirs.Split(std::uint64_t{17});
+    for (int i = 0; i < kStreamDraws; ++i) {
+      ASSERT_EQ(by_tag.UniformInt(0, 1 << 30),
+                by_tag_ref.UniformInt(0, 1 << 30));
+      ASSERT_EQ(by_salt.Uniform(0.0, 1.0), by_salt_ref.Uniform(0.0, 1.0));
+    }
+    // Grandchildren, and the parents after the splits.
+    EXPECT_EQ(by_tag.Split("x").UniformInt(0, 1 << 30),
+              by_tag_ref.Split("x").UniformInt(0, 1 << 30));
+    EXPECT_EQ(ours.UniformInt(0, 1 << 30), theirs.UniformInt(0, 1 << 30));
+  }
+}
+
 class ZipfTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ZipfTest, SamplesInRangeAndHeadHeavy) {
@@ -157,6 +307,42 @@ TEST(ZipfTest, RatioMatchesLaw) {
   }
   // P(0)/P(1) = 2 for exponent 1.
   EXPECT_NEAR(static_cast<double>(c0) / c1, 2.0, 0.4);
+}
+
+// The guide table must return exactly std::lower_bound's index (n-1 past
+// the end) for every u, including those on bucket edges and CDF values,
+// where floor(u*n) rounding could start the walk on the wrong side.
+TEST(ZipfTest, GuideTableMatchesLowerBound) {
+  Rng rng(15);
+  for (double exponent : {1.1, 1.3}) {
+    for (std::size_t n : {1, 2, 64, 800, 5000}) {
+      ZipfSampler zipf(n, exponent);
+      const std::vector<double>& cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      int mismatches = 0;
+      double first_mismatch = 0;
+      auto expect_exact = [&](double u) {
+        std::size_t want = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        if (want == n) want = n - 1;
+        if (zipf.IndexOf(u) != want && mismatches++ == 0) first_mismatch = u;
+      };
+      auto with_neighbours = [&](double u) {
+        for (double v : {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)}) {
+          if (v >= 0.0 && v < 1.0) expect_exact(v);
+        }
+      };
+      for (int i = 0; i < 1'000'000; ++i) expect_exact(rng.Uniform(0.0, 1.0));
+      for (std::size_t j = 0; j < n; ++j) {
+        with_neighbours(static_cast<double>(j) / static_cast<double>(n));
+      }
+      for (double c : cdf) with_neighbours(c);
+      expect_exact(0.0);
+      expect_exact(std::nextafter(1.0, 0.0));
+      EXPECT_EQ(mismatches, 0) << "n " << n << ", s " << exponent
+                               << ", first at u = " << first_mismatch;
+    }
+  }
 }
 
 }  // namespace

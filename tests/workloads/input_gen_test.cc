@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+
+#include "workloads/hibench.h"
 
 namespace gs {
 namespace {
@@ -149,6 +152,84 @@ TEST(InputGenTest, GeneratorsAreSchemeIndependent) {
     return MakeKeyValueRecords(200, 30, rng, kPrintableAlphabet, nullptr);
   };
   EXPECT_EQ(gen(), gen());
+}
+
+TEST(InputGenTest, KeyValueRecordPartsMatchTheSerialChunks) {
+  ThreadPool pool(3, ThreadPool::Width::kExact);
+  Rng serial_rng(21), parts_rng(21);
+  // 1000 records over 7 parts: six of 143 and a short last one.
+  std::vector<Record> serial =
+      MakeKeyValueRecords(1000, 90, serial_rng, kPrintableAlphabet, nullptr);
+  auto parts =
+      MakeKeyValueRecordParts(1000, 90, parts_rng, kPrintableAlphabet, 7, pool);
+  ASSERT_EQ(parts.size(), 7u);
+  std::vector<Record> joined;
+  for (const auto& p : parts) {
+    EXPECT_LE(p.size(), 143u);
+    joined.insert(joined.end(), p.begin(), p.end());
+  }
+  EXPECT_EQ(parts.front().size(), 143u);
+  EXPECT_EQ(joined, serial);
+  EXPECT_EQ(parts_rng.UniformInt(0, 1 << 30), serial_rng.UniformInt(0, 1 << 30))
+      << "both paths consume the same draws";
+  // More parts than records leaves the tail empty.
+  Rng few(22);
+  auto sparse = MakeKeyValueRecordParts(3, 5, few, kHexAlphabet, 5, pool);
+  ASSERT_EQ(sparse.size(), 5u);
+  EXPECT_EQ(sparse[2].size(), 1u);
+  EXPECT_TRUE(sparse[3].empty() && sparse[4].empty());
+}
+
+// The TeraSort input built on the compute pool: the source partitions
+// (records, node, bytes) are the same at pool widths 1 and 4, and equal
+// the serial records cut into the map partitions and placed.
+TEST(InputGenTest, TeraSortSourceIsIndependentOfPoolWidth) {
+  constexpr double kScale = 1000;  // 32,000 records
+  constexpr std::uint64_t kDataSeed = 55;
+  WorkloadParams params;
+  params.scale = kScale;
+  auto source_of = [&](int threads) {
+    RunConfig cfg;
+    cfg.scheme = Scheme::kSpark;
+    cfg.compute_threads = threads;
+    GeoCluster cluster(Ec2SixRegionTopology(kScale), cfg);
+    RddPtr rdd = MakeWorkload("terasort", params)->Build(cluster, kDataSeed)
+                     .rdd();
+    while (!rdd->parents().empty()) rdd = rdd->parents().front();
+    auto source = std::dynamic_pointer_cast<const SourceRdd>(rdd);
+    GS_CHECK(source != nullptr);
+    std::vector<SourceRdd::Partition> parts;
+    for (int p = 0; p < source->num_partitions(); ++p) {
+      parts.push_back(source->partition(p));
+    }
+    return parts;
+  };
+  const auto one = source_of(1);
+  const auto four = source_of(4);
+
+  Rng rng = Rng(kDataSeed).Split("terasort");
+  std::vector<Record> serial = MakeKeyValueRecords(
+      static_cast<std::size_t>(32e6 / kScale), 90, rng, kPrintableAlphabet,
+      nullptr);
+  const std::size_t per =
+      (serial.size() + params.map_partitions - 1) / params.map_partitions;
+  std::vector<std::vector<Record>> chunks(params.map_partitions);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    chunks[i / per].push_back(serial[i]);
+  }
+  const auto expected = PlacePartitions(Ec2SixRegionTopology(kScale),
+                                        std::move(chunks),
+                                        DefaultDcWeights(6));
+
+  ASSERT_EQ(one.size(), expected.size());
+  ASSERT_EQ(four.size(), expected.size());
+  for (std::size_t p = 0; p < expected.size(); ++p) {
+    for (const auto* got : {&one[p], &four[p]}) {
+      EXPECT_EQ(*got->records, *expected[p].records) << "partition " << p;
+      EXPECT_EQ(got->node, expected[p].node) << "partition " << p;
+      EXPECT_EQ(got->bytes, expected[p].bytes) << "partition " << p;
+    }
+  }
 }
 
 }  // namespace
